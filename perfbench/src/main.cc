@@ -103,8 +103,8 @@ int Run(const Args& args) {
     }
   }
   if (!args.spans.empty()) {
-    on.WriteJsonl(args.spans, /*append=*/false);
-    probes.WriteJsonl(args.spans, /*append=*/true);
+    on.WriteJsonl(args.spans, /*append=*/false, /*first_id=*/0);
+    probes.WriteJsonl(args.spans, /*append=*/true, /*first_id=*/on.size());
   }
   const std::uint64_t failed = plain.failed + traced.failed + probe.failed;
   PrintResult(failed == 0, plain.attempted + traced.attempted + probe.attempted,

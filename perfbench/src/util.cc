@@ -51,13 +51,16 @@ std::map<std::string, double> Tracer::SelfSecondsByName() const {
   return out;
 }
 
-bool Tracer::WriteJsonl(const std::string& path, bool append) const {
+bool Tracer::WriteJsonl(const std::string& path, bool append,
+                        std::size_t first_id) const {
   std::ofstream out(path, append ? std::ios::app : std::ios::trunc);
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
-    out << "{\"id\":" << i << ",\"name\":\"" << s.name << "\",\"start_ns\":"
-        << s.start_ns << ",\"end_ns\":" << s.end_ns << ",\"parent\":"
-        << s.parent << ",\"request\":" << s.request << "}\n";
+    out << "{\"id\":" << first_id + i << ",\"name\":\"" << s.name
+        << "\",\"start_ns\":" << s.start_ns << ",\"end_ns\":" << s.end_ns
+        << ",\"parent\":"
+        << (s.parent < 0 ? -1 : static_cast<std::int64_t>(first_id) + s.parent)
+        << ",\"request\":" << s.request << "}\n";
   }
   return static_cast<bool>(out);
 }

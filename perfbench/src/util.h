@@ -145,8 +145,10 @@ class Tracer {
   /// Total duration (seconds) of every span with `name`.
   std::vector<double> Seconds(const std::string& name) const;
 
-  /// Writes one JSON object per span; `append` adds to an existing file.
-  bool WriteJsonl(const std::string& path, bool append) const;
+  std::size_t size() const { return spans_.size(); }
+  /// Writes one JSON object per span, numbering spans (and parent links)
+  /// from `first_id`; with `append`, adds to an existing file.
+  bool WriteJsonl(const std::string& path, bool append, std::size_t first_id) const;
 
  private:
   bool enabled_;

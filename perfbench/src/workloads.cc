@@ -156,11 +156,13 @@ E2E RunQueryMethod(const Ctx& ctx, double seconds, Tracer& tracer) {
 // ---------------------------------------------------------------------------
 // Open loop over the socket transport.
 
-// Nominal open-loop rates: about a tenth of serve_gct's capacity and a fifth
-// of live_updates' on a host that behaves like one core, so the latency is
-// that of a server with headroom; the ladder probe measures capacity.
+// Nominal open-loop rates: about a tenth of each workload's capacity on a
+// host that behaves like one core, so the latency is that of a server with
+// headroom (at higher live rates, requests queueing behind multi-millisecond
+// hub updates made the tail swing with the host); the ladder probe measures
+// capacity.
 constexpr double kServeRate = 1000;
-constexpr double kLiveRate = 500;
+constexpr double kLiveRate = 250;
 
 std::size_t NominalRequests(double rate, double seconds) {
   return static_cast<std::size_t>(rate * seconds);
