@@ -1,5 +1,5 @@
-// google-benchmark micro suite for the substrate kernels and the DESIGN.md
-// §6 ablations: triangle listing, global truss peeling, k-core peeling,
+// google-benchmark micro suite for the substrate kernels and their
+// ablations: triangle listing, global truss peeling, k-core peeling,
 // per-vertex vs one-shot ego extraction, hash vs bitmap ego decomposition,
 // TSD/GCT score queries, and union-find throughput.
 #include <benchmark/benchmark.h>

@@ -98,12 +98,14 @@ class BatchQueryRunner {
         });
   }
 
-  /// Sum of every query's r — the gate callers use to decide whether the
-  /// bound-ordered scan's O(n log n) ordering cost can pay for itself.
-  std::uint64_t total_r() const {
-    std::uint64_t total = 0;
-    for (const BatchQuery& query : queries_) total += query.r;
-    return total;
+  /// Whether a bound-ordered scan over `num_candidates` can pay for its
+  /// O(n log n) ordering: only when every query's r is small (Σr × 64 ≤ n)
+  /// does early termination skip most candidates. Entries are identical
+  /// either way; this only picks the cheaper scan.
+  bool PrefersOrderedScan(std::uint64_t num_candidates) const {
+    std::uint64_t total_r = 0;
+    for (const BatchQuery& query : queries_) total_r += query.r;
+    return total_r * 64 <= num_candidates;
   }
 
   /// The amortized ego scan: decompose each candidate's ego network once

@@ -7,9 +7,8 @@
 #include "core/batch_query.h"
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
+#include "graph/triangle.h"
 #include "truss/k_truss.h"
-#include "truss/parallel_truss.h"
-#include "truss/truss_decomposition.h"
 #include "truss/truss_plan.h"
 
 namespace tsd {
@@ -51,6 +50,10 @@ std::vector<std::uint32_t> BoundSearcher::UpperBounds(
     const Graph& graph, const std::vector<std::uint64_t>& ego_edge_counts,
     std::uint32_t k) {
   TSD_CHECK(k >= 2);
+  TSD_CHECK_MSG(ego_edge_counts.size() == graph.num_vertices(),
+                "UpperBounds needs one ego edge count per vertex: got "
+                    << ego_edge_counts.size() << " for "
+                    << graph.num_vertices() << " vertices");
   std::vector<std::uint32_t> bounds(graph.num_vertices());
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     bounds[v] = UpperBound(graph.degree(v), ego_edge_counts[v], k);
@@ -76,17 +79,16 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
   std::vector<std::uint32_t> bounds;
   {
     ScopedTimer t(&result.stats.preprocess_seconds);
-    // The global decomposition and m_v counts run on the same thread knobs
-    // as the scan phases (the preprocess was the last serial fraction), and
-    // under the session's truss plan. Only edges with τ_G(e) ≥ k+1 are
-    // consumed here, so the plan may prune below that floor (CoreThenTruss
-    // drops core-bounded edges before any triangle counting).
+    // Property 1: only edges with τ_G(e) ≥ k+1 can contribute, so the
+    // preprocess peels straight to the (k+1)-truss instead of decomposing
+    // every level. The support count and m_v counts run on the same thread
+    // knobs as the scan phases, and the session's truss plan may prune
+    // below the floor first (CoreThenTruss drops core-bounded edges before
+    // any triangle counting).
     const ParallelConfig config = ToParallelConfig(session.options());
-    const TrussDecomposition truss(
-        graph_, config, TrussPlan::FromAlgorithm(config.truss_plan, k + 1));
-    result.stats.edges_pruned = truss.plan_stats().edges_pruned;
-    // Property 1: only edges with τ_G(e) ≥ k+1 can contribute.
-    reduced = KTrussSubgraph(graph_, truss.edge_trussness(), k + 1);
+    TrussPlanStats truss_stats;
+    reduced = KTrussAtFloor(graph_, k + 1, config, &truss_stats);
+    result.stats.edges_pruned = truss_stats.edges_pruned;
     pipeline.Rebind(reduced);
     const std::vector<std::uint64_t> ego_edges =
         TrianglesPerVertex(reduced, config);
@@ -148,7 +150,7 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
   PipelineRearm rearm(pipeline, graph_);
 
   // The smallest requested k gives the loosest sparsification, which is
-  // valid for every batched threshold at once (KTrussSubgraph preserves the
+  // valid for every batched threshold at once (KTrussAtFloor preserves the
   // vertex-id space, so the candidate range matches the per-query scans).
   const std::uint32_t k_min = runner.thresholds().back();
   Graph reduced;
@@ -161,15 +163,13 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
   // stop once every collector prunes. With large r nearly every candidate
   // gets scored anyway, so the m_v counting pass and the O(n log n) sort
   // would not pay for themselves. Entries are bit-identical either way.
-  const bool ordered = runner.total_r() * 64 <= graph_.num_vertices();
+  const bool ordered = runner.PrefersOrderedScan(graph_.num_vertices());
   {
     ScopedTimer t(&stats.preprocess_seconds);
     const ParallelConfig config = ToParallelConfig(session.options());
-    const TrussDecomposition truss(
-        graph_, config,
-        TrussPlan::FromAlgorithm(config.truss_plan, k_min + 1));
-    stats.edges_pruned = truss.plan_stats().edges_pruned;
-    reduced = KTrussSubgraph(graph_, truss.edge_trussness(), k_min + 1);
+    TrussPlanStats truss_stats;
+    reduced = KTrussAtFloor(graph_, k_min + 1, config, &truss_stats);
+    stats.edges_pruned = truss_stats.edges_pruned;
     pipeline.Rebind(reduced);
     if (ordered) {
       const std::vector<std::uint64_t> ego_edges =

@@ -13,9 +13,10 @@
 // The bound-computation, exact-verification, and context phases all run on
 // the shared QueryPipeline; with num_threads > 1 the early termination
 // happens at round granularity (rankings unchanged, see query_pipeline.h).
-// The preprocessing phase (global truss decomposition + m_v counts) runs on
-// the same thread knobs via truss/parallel_truss.h — bit-identical at any
-// thread count, since trussness is unique.
+// The preprocessing phase peels once to the (k+1)-truss (KTrussAtFloor in
+// truss/k_truss.h; no per-edge trussness is ever computed) and counts m_v
+// on that subgraph, on the same thread knobs — bit-identical at any thread
+// count, since the k-truss is unique.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +42,12 @@ class BoundSearcher : public DiversitySearcher {
   TopRResult TopR(std::uint32_t r, std::uint32_t k,
                   QuerySession& session) const override;
 
-  /// Amortized batch path: one global truss decomposition and one
-  /// sparsification at the smallest requested k serve every query (Property
-  /// 1 holds per k on that subgraph since its edge set contains every edge
-  /// with τ_G(e) ≥ k+1 for all batched k), then one ego decomposition per
-  /// surviving vertex scores all thresholds. Exact scores for every
-  /// candidate, so entries are bit-identical to per-query TopR.
+  /// Amortized batch path: one floor peel to the (k_min+1)-truss at the
+  /// smallest requested k serves every query (Property 1 holds per k on
+  /// that subgraph since its edge set contains every edge with τ_G(e) ≥ k+1
+  /// for all batched k), then one ego decomposition per surviving vertex
+  /// scores all thresholds. Exact scores for every candidate, so entries
+  /// are bit-identical to per-query TopR.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 

@@ -293,7 +293,7 @@ std::vector<TopRResult> TsdIndex::SearchBatch(
   // would not pay for itself, so the batch falls back to the full range;
   // entries are bit-identical either way.
   const VertexId n = num_vertices();
-  const bool ordered = runner.total_r() * 64 <= n;
+  const bool ordered = runner.PrefersOrderedScan(n);
   auto score_fn = [this, &runner](QueryWorkspace& ws, VertexId v,
                                   std::uint32_t* out) {
     ScoresForThresholds(v, runner.thresholds(), ws.index_scratch(), out);

@@ -6,7 +6,9 @@
 // here, so each dataset is replaced by a deterministic Holme–Kim power-law-
 // cluster graph whose size and density are matched to the original (scaled
 // down for the largest graphs so the benchmark suite stays laptop-sized).
-// See DESIGN.md §3 for the substitution rationale.
+// The experiments depend on structure, not identity — power-law degrees,
+// dense triangles and heavy-tailed trussness — which Holme–Kim reproduces
+// (generators.h).
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,9 @@
 // random reverse-reachable (RR) sets under the IC model, then greedily pick
 // the seeds that cover the most sets (a (1-1/e)-approximate max-cover).
 // IMM's adaptive martingale stopping rule is replaced by an explicit sample
-// count, which is all the experiments need (see DESIGN.md §3).
+// count (RisOptions::num_samples): the experiments only need a good,
+// reproducible seed set to start the cascades from, not IMM's certified
+// approximation guarantee.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "graph/graph.h"
+#include "truss/truss_plan.h"
 
 namespace tsd {
 
@@ -29,6 +31,21 @@ std::vector<EdgeId> KTrussEdges(const Graph& graph,
 Graph KTrussSubgraph(const Graph& graph,
                      const std::vector<std::uint32_t>& edge_trussness,
                      std::uint32_t k);
+
+/// The `floor`-truss of `graph` (same vertex id space), computed without a
+/// trussness decomposition: supports are counted once, then every edge with
+/// support below floor − 2 is peeled to a fixed point. Edge-for-edge equal
+/// to KTrussSubgraph(graph, TrussDecomposition(graph).edge_trussness(),
+/// floor), at any thread count and under every plan; floor ≤ 2 returns the
+/// whole graph. config.truss_plan keeps its meaning: when it resolves to
+/// CoreThenTruss, the edges the Burkhardt core bound rules out
+/// (internal::PruneByCoreBound) are dropped before support counting and
+/// reported in `stats->edges_pruned`. The other plans differ only in how a
+/// full decomposition peels, so here they run the same peel. Extra memory
+/// is O(m); `stats` (optional) receives the execution report.
+Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
+                    const ParallelConfig& config,
+                    TrussPlanStats* stats = nullptr);
 
 /// Connected components of the subgraph induced by vertices with core
 /// number ≥ k — the "maximal connected k-cores" of the Core-Div model [20].

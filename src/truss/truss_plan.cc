@@ -108,6 +108,50 @@ std::vector<std::uint32_t> SupportViaBitmaps(const Graph& graph,
   return support;
 }
 
+TrussPlanStats ResolveTrussPlan(const Graph& graph, const TrussPlan& plan,
+                                const ParallelConfig& config) {
+  TrussPlanStats stats;
+  stats.requested = plan.algorithm();
+  stats.min_trussness = plan.min_trussness();
+  stats.graph_stats = ComputeGraphStatistics(graph);
+  stats.algorithm =
+      plan.algorithm() == TrussPlanAlgorithm::kAuto
+          ? ChooseTrussPlanAlgorithm(stats.graph_stats, plan.min_trussness(),
+                                     config)
+          : plan.algorithm();
+  return stats;
+}
+
+CorePrunedGraph PruneByCoreBound(const Graph& graph, std::uint32_t floor) {
+  CorePrunedGraph pruned;
+  const std::uint32_t core_floor = floor < 2 ? 1 : floor - 1;
+  const CoreDecomposition cores(graph);
+  auto kept = [&](const Edge& edge) {
+    return std::min(cores.core(edge.u), cores.core(edge.v)) >= core_floor;
+  };
+  for (const Edge& edge : graph.edges()) {
+    if (!kept(edge)) ++pruned.edges_pruned;
+  }
+  if (pruned.edges_pruned == 0) return pruned;
+
+  std::vector<std::pair<VertexId, VertexId>> kept_edges;
+  kept_edges.reserve(graph.num_edges() - pruned.edges_pruned);
+  pruned.kept_ids.reserve(kept_edges.capacity());
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    const Edge& edge = graph.edge(e);
+    if (kept(edge)) {
+      kept_edges.emplace_back(edge.u, edge.v);
+      pruned.kept_ids.push_back(e);
+    }
+  }
+  pruned.graph = Graph::FromEdges(std::move(kept_edges), graph.num_vertices());
+  // GraphBuilder sorts edges by (u, v) and the kept list is an (already
+  // sorted) subsequence of graph.edges(), so subgraph edge i is exactly
+  // kept_ids[i].
+  TSD_CHECK(pruned.graph.num_edges() == pruned.kept_ids.size());
+  return pruned;
+}
+
 }  // namespace internal
 
 namespace {
@@ -133,49 +177,29 @@ std::vector<std::uint32_t> RunPeel(const Graph& graph,
              : TrussnessFromSupport(graph, std::move(support), config);
 }
 
-// CoreThenTruss: prune every edge whose Burkhardt bound
-// min(core(u), core(v)) + 1 proves its trussness below the floor, then peel
-// the surviving subgraph. The k-truss is contained in the (k-1)-core, so
-// trussness_G(e) ≤ min(core(u), core(v)) + 1 and pruning is sound; and
-// because the pruned edges have trussness below the floor, they are not in
-// any k-truss the caller consumes, so trussness restricted to the subgraph
+// CoreThenTruss: prune every edge whose core bound proves its trussness
+// below the floor, then peel the surviving subgraph. The pruned edges are in
+// no k-truss the caller consumes, so trussness restricted to the subgraph
 // equals trussness in G for every surviving edge of trussness ≥ floor.
 std::vector<std::uint32_t> RunCoreThenTruss(const Graph& graph,
                                             const TrussPlan& plan,
                                             const ParallelConfig& config,
                                             TrussPlanStats& stats) {
-  const EdgeId m = graph.num_edges();
-  const std::uint32_t core_floor = plan.min_trussness() - 1;
-  const CoreDecomposition cores(graph);
-
-  std::vector<std::pair<VertexId, VertexId>> kept_edges;
-  std::vector<EdgeId> kept_ids;
-  for (EdgeId e = 0; e < m; ++e) {
-    const Edge& edge = graph.edge(e);
-    if (std::min(cores.core(edge.u), cores.core(edge.v)) >= core_floor) {
-      kept_edges.emplace_back(edge.u, edge.v);
-      kept_ids.push_back(e);
-    }
-  }
-  stats.edges_pruned = m - kept_edges.size();
-  if (stats.edges_pruned == 0) {
+  const internal::CorePrunedGraph pruned =
+      internal::PruneByCoreBound(graph, plan.min_trussness());
+  stats.edges_pruned = pruned.edges_pruned;
+  if (pruned.edges_pruned == 0) {
     // Nothing to prune (always the case at min_trussness == 2: every edge
-    // endpoint has core ≥ 1); skip the subgraph rebuild.
+    // endpoint has core ≥ 1); no subgraph was built.
     return RunPeel(graph, TrussPlanAlgorithm::kBsp, config, stats);
   }
-
-  const Graph sub = Graph::FromEdges(std::move(kept_edges),
-                                     graph.num_vertices());
-  TSD_CHECK(sub.num_edges() == kept_ids.size());
   const std::vector<std::uint32_t> sub_trussness =
-      RunPeel(sub, TrussPlanAlgorithm::kBsp, config, stats);
+      RunPeel(pruned.graph, TrussPlanAlgorithm::kBsp, config, stats);
 
-  // GraphBuilder sorts edges by (u, v) and the kept list is an (already
-  // sorted) subsequence of graph.edges(), so subgraph edge i is exactly
-  // kept_ids[i]. Pruned edges take the trivial trussness 2.
-  std::vector<std::uint32_t> trussness(m, 2);
-  for (std::size_t i = 0; i < kept_ids.size(); ++i) {
-    trussness[kept_ids[i]] = sub_trussness[i];
+  // Pruned edges take the trivial trussness 2.
+  std::vector<std::uint32_t> trussness(graph.num_edges(), 2);
+  for (std::size_t i = 0; i < pruned.kept_ids.size(); ++i) {
+    trussness[pruned.kept_ids[i]] = sub_trussness[i];
   }
   return trussness;
 }
@@ -188,16 +212,7 @@ std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
                                              TrussPlanStats* stats) {
   TrussPlanStats local_stats;
   TrussPlanStats& out = stats != nullptr ? *stats : local_stats;
-  out = TrussPlanStats{};
-  out.requested = plan.algorithm();
-  out.min_trussness = plan.min_trussness();
-  out.graph_stats = ComputeGraphStatistics(graph);
-  out.algorithm =
-      plan.algorithm() == TrussPlanAlgorithm::kAuto
-          ? ChooseTrussPlanAlgorithm(out.graph_stats, plan.min_trussness(),
-                                     config)
-          : plan.algorithm();
-
+  out = internal::ResolveTrussPlan(graph, plan, config);
   if (out.algorithm == TrussPlanAlgorithm::kCoreThenTruss) {
     return RunCoreThenTruss(graph, plan, config, out);
   }

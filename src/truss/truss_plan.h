@@ -151,6 +151,31 @@ std::string TrussPlanAlgorithmName(TrussPlanAlgorithm algorithm);
 
 namespace internal {
 
+/// The execution report before anything runs: the request, the floor, the
+/// tuner inputs, and the resolved algorithm (kAuto goes through
+/// ChooseTrussPlanAlgorithm). Shared by TrussnessWithPlan and KTrussAtFloor
+/// (truss/k_truss.h), so a plan resolves the same way on both paths.
+TrussPlanStats ResolveTrussPlan(const Graph& graph, const TrussPlan& plan,
+                                const ParallelConfig& config);
+
+/// What the Burkhardt core prefilter keeps of a graph.
+struct CorePrunedGraph {
+  /// The surviving edges over the same vertex-id space. Left empty when
+  /// nothing is pruned: callers then keep using the input graph.
+  Graph graph;
+  /// kept_ids[i] is the input id of graph's edge i (empty when nothing is
+  /// pruned).
+  std::vector<EdgeId> kept_ids;
+  std::uint64_t edges_pruned = 0;
+};
+
+/// Drops every edge whose Burkhardt bound min(core(u), core(v)) + 1
+/// (arXiv:1806.05523) proves its trussness below `floor`. The k-truss lies
+/// in the (k-1)-core, so the floor-truss of the result equals the
+/// floor-truss of `graph`, and every kept edge of trussness ≥ floor keeps
+/// its trussness. The one prefilter behind CoreThenTruss and KTrussAtFloor.
+CorePrunedGraph PruneByCoreBound(const Graph& graph, std::uint32_t floor);
+
 /// Scratch budget for the bitmap kernels: n adjacency bitmaps of n bits.
 /// Shared with the ego decomposer's default (ego_truss.h).
 inline constexpr std::size_t kBitmapBudgetBytes = std::size_t{64} << 20;

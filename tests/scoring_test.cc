@@ -168,5 +168,15 @@ TEST(UpperBoundTest, Figure1Example3Values) {
   EXPECT_EQ(bounds[1], 1u);
 }
 
+// One m_v per vertex is a precondition: a short vector used to be read past
+// its end.
+TEST(UpperBoundTest, ShortEgoEdgeCountsFailCheck) {
+  Graph g = PaperFigure1Graph();
+  std::vector<std::uint64_t> ego_edges = TrianglesPerVertex(g);
+  ego_edges.pop_back();
+  EXPECT_THROW(BoundSearcher::UpperBounds(g, ego_edges, 4), CheckError);
+  EXPECT_THROW(BoundSearcher::UpperBounds(g, {}, 4), CheckError);
+}
+
 }  // namespace
 }  // namespace tsd

@@ -3,7 +3,8 @@
 // Bsp, BspJacobi, CoreThenTruss, and whatever Auto resolves to — must be
 // bit-identical to the sequential Wang–Cheng peel on every graph at every
 // thread count; exact equality is the specification, not a tolerance.
-// Also covers: CoreThenTruss prune soundness against an independently
+// Also covers: the single-floor k-truss peel (KTrussAtFloor) against the
+// full decomposition, CoreThenTruss prune soundness against an independently
 // recomputed core bound, auto-tuner determinism, the Jacobi schedule on
 // large frontiers, the bitmap support kernel, the plan knob threading
 // through QueryOptions into the searchers, and the ordered batch scan
@@ -22,6 +23,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "truss/core_decomposition.h"
+#include "truss/k_truss.h"
 #include "truss/parallel_truss.h"
 #include "truss/peeling.h"
 #include "graph/triangle.h"
@@ -162,6 +164,145 @@ TEST(TrussPlanRoutingTest, ConfigCarriesAlgorithmTag) {
     EXPECT_EQ(decomposition.edge_trussness(), expected) << plan_case.name;
     EXPECT_EQ(decomposition.plan_stats().requested, plan_case.algorithm)
         << plan_case.name;
+  }
+}
+
+// ------------------------------------------------ single-floor k-truss peel
+
+// The floor-truss's edges as endpoint pairs, for comparing graphs that share
+// a vertex-id space.
+std::vector<Edge> EdgesOf(const Graph& g) {
+  return {g.edges().begin(), g.edges().end()};
+}
+
+std::vector<Edge> EdgesOf(const Graph& g, const std::vector<EdgeId>& ids) {
+  std::vector<Edge> edges;
+  for (const EdgeId e : ids) edges.push_back(g.edge(e));
+  return edges;
+}
+
+class KTrussAtFloorTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// The spec: KTrussAtFloor's edge set is the full decomposition's floor-truss
+// at every floor up to one past the maximum trussness (where it is empty),
+// at every thread count and under every plan.
+TEST_P(KTrussAtFloorTest, EqualsFloorTrussOfFullDecomposition) {
+  const GraphCase test_case = TestGraphs()[std::get<0>(GetParam())];
+  const PlanCase plan_case = PlanCases()[std::get<1>(GetParam())];
+  const Graph& g = test_case.graph;
+  const TrussDecomposition full(g);
+  for (std::uint32_t floor = 3; floor <= full.max_trussness() + 1; ++floor) {
+    const std::vector<Edge> expected =
+        EdgesOf(g, KTrussEdges(g, full.edge_trussness(), floor));
+    TrussPlanStats core_stats;
+    TrussnessWithPlan(g, TrussPlan::CoreThenTruss(floor), ParallelConfig{},
+                      &core_stats);
+    for (ParallelConfig config : ThreadConfigs()) {
+      config.truss_plan = plan_case.algorithm;
+      const std::string label = test_case.name + " plan=" + plan_case.name +
+                                " floor=" + std::to_string(floor) +
+                                " threads=" +
+                                std::to_string(config.num_threads);
+      TrussPlanStats stats;
+      const Graph truss = KTrussAtFloor(g, floor, config, &stats);
+      EXPECT_EQ(truss.num_vertices(), g.num_vertices()) << label;
+      EXPECT_EQ(EdgesOf(truss), expected) << label;
+      EXPECT_EQ(stats.requested, plan_case.algorithm) << label;
+      EXPECT_EQ(stats.min_trussness, floor) << label;
+      // The prefilter runs, and prunes exactly what the plan's own
+      // prefilter prunes, only when the plan resolves to CoreThenTruss.
+      EXPECT_EQ(stats.edges_pruned,
+                stats.algorithm == TrussPlanAlgorithm::kCoreThenTruss
+                    ? core_stats.edges_pruned
+                    : 0u)
+          << label;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGraphsAllPlans, KTrussAtFloorTest,
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return TestGraphs()[std::get<0>(info.param)].name + "_" +
+             PlanCases()[std::get<1>(info.param)].name;
+    });
+
+TEST(KTrussAtFloorEdgeCaseTest, EmptyGraphs) {
+  for (const VertexId n : {0u, 7u}) {
+    const Graph empty = Graph::FromEdges({}, n);
+    for (const std::uint32_t floor : {2u, 3u, 5u}) {
+      for (const PlanCase& plan_case : PlanCases()) {
+        ParallelConfig config{2, 0};
+        config.truss_plan = plan_case.algorithm;
+        TrussPlanStats stats;
+        const Graph truss = KTrussAtFloor(empty, floor, config, &stats);
+        EXPECT_EQ(truss.num_vertices(), n) << plan_case.name;
+        EXPECT_EQ(truss.num_edges(), 0u) << plan_case.name;
+        EXPECT_EQ(stats.edges_pruned, 0u) << plan_case.name;
+      }
+    }
+  }
+}
+
+// Every edge of a triangle-free graph has support 0: the whole graph is the
+// 2-truss and nothing survives floor 3.
+TEST(KTrussAtFloorEdgeCaseTest, TriangleFreeGraph) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < 12; ++v) edges.emplace_back(v, (v + 1) % 12);
+  for (VertexId v = 0; v < 12; v += 2) edges.emplace_back(v, 12);  // star
+  const Graph g = Graph::FromEdges(std::move(edges), 14);
+  ASSERT_EQ(CountTriangles(g), 0u);
+  for (const PlanCase& plan_case : PlanCases()) {
+    ParallelConfig config{1, 0};
+    config.truss_plan = plan_case.algorithm;
+    EXPECT_EQ(EdgesOf(KTrussAtFloor(g, 2, config)), EdgesOf(g))
+        << plan_case.name;
+    for (const std::uint32_t floor : {3u, 4u}) {
+      const Graph truss = KTrussAtFloor(g, floor, config);
+      EXPECT_EQ(truss.num_vertices(), g.num_vertices()) << plan_case.name;
+      EXPECT_EQ(truss.num_edges(), 0u) << plan_case.name;
+    }
+  }
+}
+
+// K_n is exactly an n-truss: every edge survives floor n and none floor n+1.
+TEST(KTrussAtFloorEdgeCaseTest, CliqueAtItsTrussnessAndOneAbove) {
+  for (const VertexId n : {3u, 4u, 9u}) {
+    const Graph clique = Clique(n);
+    for (const PlanCase& plan_case : PlanCases()) {
+      for (const std::uint32_t threads : {1u, 8u}) {
+        ParallelConfig config{threads, 0};
+        config.truss_plan = plan_case.algorithm;
+        const std::string label = "K" + std::to_string(n) +
+                                  " plan=" + plan_case.name;
+        EXPECT_EQ(EdgesOf(KTrussAtFloor(clique, n, config)), EdgesOf(clique))
+            << label;
+        EXPECT_EQ(KTrussAtFloor(clique, n + 1, config).num_edges(), 0u)
+            << label;
+      }
+    }
+  }
+}
+
+// Every edge has trussness ≥ 2, so floor 2 (and the clamped floors below it)
+// keeps the whole graph and prunes nothing.
+TEST(KTrussAtFloorEdgeCaseTest, FloorTwoReturnsWholeGraph) {
+  for (const GraphCase& test_case : TestGraphs()) {
+    for (const PlanCase& plan_case : PlanCases()) {
+      ParallelConfig config{2, 0};
+      config.truss_plan = plan_case.algorithm;
+      for (const std::uint32_t floor : {0u, 1u, 2u}) {
+        TrussPlanStats stats;
+        const Graph truss =
+            KTrussAtFloor(test_case.graph, floor, config, &stats);
+        EXPECT_EQ(truss.num_vertices(), test_case.graph.num_vertices());
+        EXPECT_EQ(EdgesOf(truss), EdgesOf(test_case.graph))
+            << test_case.name << " plan=" << plan_case.name;
+        EXPECT_EQ(stats.edges_pruned, 0u);
+      }
+    }
   }
 }
 
