@@ -109,13 +109,12 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
   TopRCollector collector(r);
   {
     ScopedTimer t(&result.stats.score_seconds);
+    pipeline.TakeEgoEdgesSupported();
     result.stats.vertices_scored = pipeline.ScoreOrdered(
         order, bounds, &collector, [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/false)
-              .score;
+          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/false).score;
         });
+    result.stats.ego_edges_supported = pipeline.TakeEgoEdgesSupported();
   }
 
   // Materialize the winners' contexts on the reduced graph (identical to
@@ -125,10 +124,7 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
     pipeline.MaterializeEntries(
         collector.Ranked(), &result.entries,
         [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/true)
-              .contexts;
+          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/true).contexts;
         });
   }
 
@@ -211,7 +207,8 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
         [](QueryWorkspace& ws, VertexId v) { ws.DecomposeEgo(v); },
         [](QueryWorkspace& ws, VertexId /*v*/, std::uint32_t k) {
           return ScoreFromEgoTrussness(ws.ego(), ws.trussness(), k,
-                                       /*want_contexts=*/true)
+                                       /*want_contexts=*/true,
+                                       &ws.component_scratch())
               .contexts;
         });
   }

@@ -16,7 +16,9 @@
 // The preprocessing phase peels once to the (k+1)-truss (KTrussAtFloor in
 // truss/k_truss.h; no per-edge trussness is ever computed) and counts m_v
 // on that subgraph, on the same thread knobs — bit-identical at any thread
-// count, since the k-truss is unique.
+// count, since the k-truss is unique. The score and context phases score
+// each candidate's ego-network at its own k floor (EgoFloorPeeler in
+// truss/ego_floor.h), again without trussness values.
 #pragma once
 
 #include <cstdint>

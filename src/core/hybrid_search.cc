@@ -105,10 +105,7 @@ TopRResult HybridSearcher::TopR(std::uint32_t r, std::uint32_t k,
     ScopedTimer t(&result.stats.context_seconds);
     pipeline.MaterializeEntries(
         answers, &result.entries, [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/true)
-              .contexts;
+          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/true).contexts;
         });
     result.stats.vertices_scored = answers.size();
   }
@@ -144,7 +141,8 @@ std::vector<TopRResult> HybridSearcher::SearchBatch(
         [](QueryWorkspace& ws, VertexId v) { ws.DecomposeEgo(v); },
         [](QueryWorkspace& ws, VertexId /*v*/, std::uint32_t k) {
           return ScoreFromEgoTrussness(ws.ego(), ws.trussness(), k,
-                                       /*want_contexts=*/true)
+                                       /*want_contexts=*/true,
+                                       &ws.component_scratch())
               .contexts;
         });
   }

@@ -3,7 +3,8 @@
 // Hybrid precomputes the complete structural-diversity ranking for every
 // possible k (so any top-r query can read its answer vertices directly) but
 // stores no ego-network structure: the winners' social contexts are
-// recomputed online with Algorithm 2. Competitive with GCT at r = 1; loses
+// recomputed online from each winner's ego k-truss (the single-k floor
+// kernel of truss/ego_floor.h). Competitive with GCT at r = 1; loses
 // for larger r because the per-winner online context computation dominates.
 //
 // Construction runs as ONE pass over the vertices: each vertex's GCT slice

@@ -12,9 +12,7 @@ ScoreResult OnlineSearcher::ScoreVertex(VertexId v, std::uint32_t k,
                                         QuerySession& session) const {
   // Single-vertex path on workspace 0 of the session's cached pipeline, so
   // repeated calls (tsdtool score) reuse all scratch.
-  QueryWorkspace& ws = Pipeline(session).workspace(0);
-  EgoNetwork& ego = ws.DecomposeEgo(v);
-  return ScoreFromEgoTrussness(ego, ws.trussness(), k, want_contexts);
+  return Pipeline(session).workspace(0).ScoreEgoAtFloor(v, k, want_contexts);
 }
 
 TopRResult OnlineSearcher::TopR(std::uint32_t r, std::uint32_t k,
@@ -28,14 +26,13 @@ TopRResult OnlineSearcher::TopR(std::uint32_t r, std::uint32_t k,
   TopRCollector collector(r);
   {
     ScopedTimer t(&result.stats.score_seconds);
+    pipeline.TakeEgoEdgesSupported();
     result.stats.vertices_scored = pipeline.ScoreRange(
         graph_.num_vertices(), &collector,
         [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/false)
-              .score;
+          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/false).score;
         });
+    result.stats.ego_edges_supported = pipeline.TakeEgoEdgesSupported();
   }
 
   // Materialize the winners' social contexts (line 8 of Algorithm 3).
@@ -44,10 +41,7 @@ TopRResult OnlineSearcher::TopR(std::uint32_t r, std::uint32_t k,
     pipeline.MaterializeEntries(
         collector.Ranked(), &result.entries,
         [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/true)
-              .contexts;
+          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/true).contexts;
         });
   }
 
@@ -81,7 +75,8 @@ std::vector<TopRResult> OnlineSearcher::SearchBatch(
         [](QueryWorkspace& ws, VertexId v) { ws.DecomposeEgo(v); },
         [](QueryWorkspace& ws, VertexId /*v*/, std::uint32_t k) {
           return ScoreFromEgoTrussness(ws.ego(), ws.trussness(), k,
-                                       /*want_contexts=*/true)
+                                       /*want_contexts=*/true,
+                                       &ws.component_scratch())
               .contexts;
         });
   }

@@ -25,6 +25,15 @@ EgoNetwork& QueryWorkspace::DecomposeEgo(VertexId v) {
   return ego_;
 }
 
+ScoreResult QueryWorkspace::ScoreEgoAtFloor(VertexId v, std::uint32_t k,
+                                            bool want_contexts) {
+  ExtractEgo(v);
+  const std::span<const Edge> truss_edges = floor_peeler_.Peel(ego_, k);
+  ego_edges_supported_ += floor_peeler_.edges_supported();
+  return ScoreFromEgoTrussEdges(ego_, truss_edges, want_contexts,
+                                component_scratch_);
+}
+
 QueryPipeline::QueryPipeline(const Graph& graph, EgoTrussMethod method,
                              const QueryOptions& options)
     : options_(options) {
@@ -46,6 +55,14 @@ QueryPipeline::QueryPipeline(const QueryOptions& options) : options_(options) {
 
 void QueryPipeline::Rebind(const Graph& graph) {
   for (auto& workspace : workspaces_) workspace->Rebind(graph);
+}
+
+std::uint64_t QueryPipeline::TakeEgoEdgesSupported() {
+  std::uint64_t total = 0;
+  for (auto& workspace : workspaces_) {
+    total += workspace->TakeEgoEdgesSupported();
+  }
+  return total;
 }
 
 std::uint32_t QueryPipeline::ResolveChunks(std::uint64_t total) const {

@@ -3,9 +3,10 @@
 // The full paper (arXiv:2007.05437) stresses that per-vertex ego-truss work
 // is embarrassingly parallel; before this engine only the index *builders*
 // exploited that. QueryPipeline owns one reusable workspace per worker
-// thread (ego-network extractor + truss decomposer + scratch EgoNetwork +
-// trussness buffer) and runs candidate vertices through a caller-supplied
-// scoring kernel via the chunked parallel-for in common/parallel.h. The
+// thread (ego-network extractor + truss decomposer + single-k floor peeler
+// + scratch EgoNetwork + trussness buffer) and runs candidate vertices
+// through a caller-supplied scoring kernel via the chunked parallel-for in
+// common/parallel.h. The
 // steady-state hot path performs no heap allocation: every buffer a kernel
 // needs lives in the workspace and is reused vertex to vertex.
 //
@@ -31,9 +32,11 @@
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "core/query_scratch.h"
+#include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "core/types.h"
 #include "graph/ego_network.h"
+#include "truss/ego_floor.h"
 #include "truss/ego_truss.h"
 
 namespace tsd {
@@ -57,9 +60,25 @@ class QueryWorkspace {
   /// returned ego's edges.
   EgoNetwork& DecomposeEgo(VertexId v);
 
+  /// ExtractEgo + the single-threshold kernel: scores G_N(v) at k from its
+  /// k-truss alone (EgoFloorPeeler, truss/ego_floor.h), with no trussness
+  /// decomposition. Adds the ego edges that reached support counting to
+  /// this workspace's counter (see TakeEgoEdgesSupported).
+  ScoreResult ScoreEgoAtFloor(VertexId v, std::uint32_t k,
+                              bool want_contexts);
+
+  /// Returns and zeroes the ScoreEgoAtFloor work counter.
+  std::uint64_t TakeEgoEdgesSupported() {
+    return std::exchange(ego_edges_supported_, 0);
+  }
+
   const std::vector<std::uint32_t>& trussness() const { return trussness_; }
   EgoNetwork& ego() { return ego_; }
   EgoTrussDecomposer& decomposer() { return decomposer_; }
+
+  /// Component-count and context-grouping scratch for ScoreFromEgoTrussness
+  /// and ScoreFromEgoTrussEdges.
+  EgoComponentScratch& component_scratch() { return component_scratch_; }
 
   /// Reusable scratch for index score/context kernels (TSD endpoint dedup,
   /// GCT context grouping) — no steady-state allocation across queries.
@@ -76,6 +95,8 @@ class QueryWorkspace {
   /// so tests can assert the steady state allocates nothing new.
   std::size_t scratch_capacity_bytes() const {
     return index_scratch_.capacity_bytes() + multi_scorer_.capacity_bytes() +
+           floor_peeler_.capacity_bytes() +
+           component_scratch_.capacity_bytes() +
            trussness_.capacity() * sizeof(std::uint32_t) +
            u32_scratch_.capacity() * sizeof(std::uint32_t);
   }
@@ -83,6 +104,9 @@ class QueryWorkspace {
  private:
   std::optional<EgoNetworkExtractor> extractor_;
   EgoTrussDecomposer decomposer_;
+  EgoFloorPeeler floor_peeler_;
+  EgoComponentScratch component_scratch_;
+  std::uint64_t ego_edges_supported_ = 0;
   EgoNetwork ego_;
   std::vector<std::uint32_t> trussness_;
   IndexQueryScratch index_scratch_;
@@ -113,6 +137,11 @@ class QueryPipeline {
   void Rebind(const Graph& graph);
 
   std::uint32_t num_threads() const { return options_.num_threads; }
+
+  /// Sum of every workspace's TakeEgoEdgesSupported (zeroes them all). A
+  /// searcher takes it once before its score phase, to drop what earlier
+  /// phases left, and once after, for SearchStats::ego_edges_supported.
+  std::uint64_t TakeEgoEdgesSupported();
 
   /// Direct access to one worker's scratch, for single-vertex entry points
   /// (tsdtool score, HybridSearcher's per-winner recomputation) that want

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/disjoint_set.h"
 #include "truss/core_decomposition.h"
 
 namespace tsd {
@@ -18,10 +17,10 @@ namespace {
 /// come out sorted and contexts appear in order of smallest member with no
 /// sorting.
 std::vector<SocialContext> MaterializeContexts(
-    const EgoNetwork& ego, DisjointSet& dsu,
-    const std::vector<char>& include) {
+    const EgoNetwork& ego, DisjointSet& dsu, const std::vector<char>& include,
+    std::vector<std::uint32_t>& slot_of_root) {
   constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> slot_of_root(ego.num_members(), kNoSlot);
+  slot_of_root.assign(ego.num_members(), kNoSlot);
   std::vector<SocialContext> contexts;
   for (std::uint32_t i = 0; i < ego.num_members(); ++i) {
     if (!include[i]) continue;
@@ -35,40 +34,61 @@ std::vector<SocialContext> MaterializeContexts(
   return contexts;
 }
 
-}  // namespace
-
-ScoreResult ScoreFromEgoTrussness(const EgoNetwork& ego,
-                                  const std::vector<std::uint32_t>& trussness,
-                                  std::uint32_t k, bool want_contexts) {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(trussness.size() == ego.edges.size());
-
+/// Components of the kept ego edges, those e of `edges` with keep(e): each
+/// component is a tree under the union count, so #components = #touched
+/// vertices − #successful unions.
+template <typename Keep>
+ScoreResult EdgeComponents(const EgoNetwork& ego, std::span<const Edge> edges,
+                           Keep keep, bool want_contexts,
+                           EgoComponentScratch& scratch) {
   const std::uint32_t l = ego.num_members();
-  DisjointSet dsu(l);
-  std::vector<char> touched(l, 0);
+  scratch.dsu.Reset(l);
+  scratch.touched.assign(l, 0);
   std::uint32_t touched_count = 0;
   std::uint32_t union_count = 0;
-  for (EdgeId e = 0; e < ego.num_edges(); ++e) {
-    if (trussness[e] < k) continue;
-    const auto [u, v] = ego.edges[e];
-    if (dsu.Union(u, v)) ++union_count;
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    if (!keep(e)) continue;
+    const auto [u, v] = edges[e];
+    if (scratch.dsu.Union(u, v)) ++union_count;
     for (std::uint32_t endpoint : {u, v}) {
-      if (!touched[endpoint]) {
-        touched[endpoint] = 1;
+      if (!scratch.touched[endpoint]) {
+        scratch.touched[endpoint] = 1;
         ++touched_count;
       }
     }
   }
 
   ScoreResult result;
-  // Each component is a tree under the union count: #components =
-  // #touched vertices - #successful unions.
   result.score = touched_count - union_count;
   if (want_contexts && result.score > 0) {
-    result.contexts = MaterializeContexts(ego, dsu, touched);
+    result.contexts = MaterializeContexts(ego, scratch.dsu, scratch.touched,
+                                          scratch.slot_of_root);
     TSD_DCHECK(result.contexts.size() == result.score);
   }
   return result;
+}
+
+}  // namespace
+
+ScoreResult ScoreFromEgoTrussness(const EgoNetwork& ego,
+                                  const std::vector<std::uint32_t>& trussness,
+                                  std::uint32_t k, bool want_contexts,
+                                  EgoComponentScratch* scratch) {
+  TSD_CHECK(k >= 2);
+  TSD_CHECK(trussness.size() == ego.edges.size());
+  EgoComponentScratch local;
+  return EdgeComponents(
+      ego, ego.edges, [&](EdgeId e) { return trussness[e] >= k; },
+      want_contexts, scratch != nullptr ? *scratch : local);
+}
+
+ScoreResult ScoreFromEgoTrussEdges(const EgoNetwork& ego,
+                                   std::span<const Edge> truss_edges,
+                                   bool want_contexts,
+                                   EgoComponentScratch& scratch) {
+  if (truss_edges.empty()) return {};
+  return EdgeComponents(
+      ego, truss_edges, [](EdgeId) { return true; }, want_contexts, scratch);
 }
 
 ScoreResult ScoreComponents(const EgoNetwork& ego, std::uint32_t min_size,
@@ -95,7 +115,8 @@ ScoreResult ScoreComponents(const EgoNetwork& ego, std::uint32_t min_size,
   ScoreResult result;
   result.score = score;
   if (want_contexts && score > 0) {
-    result.contexts = MaterializeContexts(ego, dsu, include);
+    std::vector<std::uint32_t> slot_of_root;
+    result.contexts = MaterializeContexts(ego, dsu, include, slot_of_root);
     TSD_DCHECK(result.contexts.size() == score);
   }
   return result;
@@ -129,7 +150,8 @@ ScoreResult ScoreKCores(EgoNetwork& ego, std::uint32_t k,
   ScoreResult result;
   result.score = score;
   if (want_contexts && score > 0) {
-    result.contexts = MaterializeContexts(ego, dsu, include);
+    std::vector<std::uint32_t> slot_of_root;
+    result.contexts = MaterializeContexts(ego, dsu, include, slot_of_root);
     TSD_DCHECK(result.contexts.size() == score);
   }
   return result;

@@ -14,27 +14,40 @@ std::uint32_t EgoNetwork::ToLocal(VertexId global) const {
   return static_cast<std::uint32_t>(it - members.begin());
 }
 
-void EgoNetwork::BuildCsr() {
-  const std::uint32_t n = num_members();
-  const std::uint32_t m = num_edges();
-  offsets.assign(n + 1, 0);
+void BuildLocalCsr(std::uint32_t num_vertices, std::span<const Edge> edges,
+                   std::vector<std::uint32_t>* offsets,
+                   std::vector<VertexId>* adj,
+                   std::vector<EdgeId>* adj_edge_ids) {
+  // Degrees are counted one slot further right than usual, so after the
+  // prefix sum offsets[x + 1] holds the start of x's list. It then serves
+  // as x's fill cursor and ends at the start of x + 1, which is exactly its
+  // final value; offsets[0] stays 0.
+  offsets->assign(num_vertices + 1, 0);
+  std::uint32_t* const off = offsets->data();
   for (const Edge& e : edges) {
-    ++offsets[e.u + 1];
-    ++offsets[e.v + 1];
+    if (e.u + 2 <= num_vertices) ++off[e.u + 2];
+    if (e.v + 2 <= num_vertices) ++off[e.v + 2];
   }
-  for (std::uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  adj.resize(2ULL * m);
-  adj_edge_ids.resize(2ULL * m);
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (EdgeId e = 0; e < m; ++e) {
+  for (std::uint32_t x = 2; x <= num_vertices; ++x) off[x] += off[x - 1];
+  adj->resize(2 * edges.size());
+  adj_edge_ids->resize(2 * edges.size());
+  for (EdgeId e = 0; e < edges.size(); ++e) {
     const auto [u, v] = edges[e];
-    adj[cursor[u]] = v;
-    adj_edge_ids[cursor[u]++] = e;
-    adj[cursor[v]] = u;
-    adj_edge_ids[cursor[v]++] = e;
+    const std::uint32_t at_u = off[u + 1]++;
+    (*adj)[at_u] = v;
+    (*adj_edge_ids)[at_u] = e;
+    const std::uint32_t at_v = off[v + 1]++;
+    (*adj)[at_v] = u;
+    (*adj_edge_ids)[at_v] = e;
   }
-  // Edges are sorted by (u, v) with u < v, so adjacency lists come out
-  // sorted for the same reason as in GraphBuilder::Build.
+  // Edges are sorted by (u, v) with u < v: x's smaller neighbours arrive
+  // first, in ascending order, from the edges (w, x); its larger ones come
+  // after, also ascending, from the edges (x, y). Same argument as in
+  // GraphBuilder::Build.
+}
+
+void EgoNetwork::BuildCsr() {
+  BuildLocalCsr(num_members(), edges, &offsets, &adj, &adj_edge_ids);
 }
 
 EgoNetworkExtractor::EgoNetworkExtractor(const Graph& graph)

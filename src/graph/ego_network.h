@@ -22,6 +22,15 @@
 
 namespace tsd {
 
+/// Fills a local CSR over `num_vertices` vertices from `edges` (local-id
+/// pairs with u < v, sorted by (u, v)), reusing the three buffers'
+/// capacity. Sorted input makes every adjacency list come out sorted, and
+/// the fill needs no cursor scratch, so a warm rebuild allocates nothing.
+void BuildLocalCsr(std::uint32_t num_vertices, std::span<const Edge> edges,
+                   std::vector<std::uint32_t>* offsets,
+                   std::vector<VertexId>* adj,
+                   std::vector<EdgeId>* adj_edge_ids);
+
 /// A materialized ego-network with local vertex ids.
 ///
 /// Local id i corresponds to global vertex members[i]; members is sorted

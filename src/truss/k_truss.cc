@@ -1,12 +1,12 @@
 #include "truss/k_truss.h"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "common/check.h"
 #include "common/disjoint_set.h"
 #include "graph/triangle.h"
+#include "truss/peeling.h"
 
 namespace tsd {
 namespace {
@@ -36,55 +36,6 @@ std::vector<std::vector<VertexId>> CollectComponents(
   return components;
 }
 
-/// Marks the edges outside the `floor`-truss of `graph`. Each live edge's
-/// support stays exact — the number of triangles whose three edges are all
-/// live — so no bucket levels or clamping are needed: an edge is queued
-/// once, the moment its support drops below floor − 2, and dies when
-/// popped. A triangle stops counting when its first edge dies, so only that
-/// edge decrements the other two, and a popped edge's support says how
-/// many live triangles its adjacency scan must find before it can stop.
-std::vector<char> PeelBelowFloor(const Graph& graph, std::uint32_t floor,
-                                 const ParallelConfig& config) {
-  std::vector<char> dead(graph.num_edges(), 0);
-  const std::uint32_t min_support = floor - 2;
-  if (min_support == 0) return dead;
-  std::vector<std::uint32_t> support = ComputeSupport(graph, config);
-  std::vector<EdgeId> stack;
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (support[e] < min_support) stack.push_back(e);
-  }
-  while (!stack.empty()) {
-    const EdgeId e = stack.back();
-    stack.pop_back();
-    dead[e] = 1;
-    std::uint32_t live = support[e];
-    if (live == 0) continue;
-    const auto [u, v] = graph.edge(e);
-    const std::span<const VertexId> nu = graph.neighbors(u);
-    const std::span<const VertexId> nv = graph.neighbors(v);
-    const std::span<const EdgeId> eu = graph.incident_edges(u);
-    const std::span<const EdgeId> ev = graph.incident_edges(v);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (live > 0 && i < nu.size() && j < nv.size()) {
-      if (nu[i] < nv[j]) {
-        ++i;
-      } else if (nu[i] > nv[j]) {
-        ++j;
-      } else {
-        const EdgeId a = eu[i++];
-        const EdgeId b = ev[j++];
-        if (dead[a] || dead[b]) continue;
-        --live;
-        // An edge already queued sits below min_support and never matches.
-        if (support[a]-- == min_support) stack.push_back(a);
-        if (support[b]-- == min_support) stack.push_back(b);
-      }
-    }
-  }
-  return dead;
-}
-
 }  // namespace
 
 Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
@@ -101,8 +52,13 @@ Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
   }
   const Graph& source = pruned.edges_pruned > 0 ? pruned.graph : graph;
 
-  const std::vector<char> dead =
-      PeelBelowFloor(source, plan.min_trussness(), config);
+  std::vector<char> dead(source.num_edges(), 0);
+  if (plan.min_trussness() > 2) {
+    std::vector<std::uint32_t> support = ComputeSupport(source, config);
+    std::vector<EdgeId> stack;
+    PeelBelowFloor(CsrViewOf(source), plan.min_trussness() - 2, support,
+                   &dead, &stack);
+  }
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(static_cast<std::size_t>(
       std::count(dead.begin(), dead.end(), 0)));

@@ -31,13 +31,7 @@ std::vector<std::uint32_t> TrussnessFromSupport(
   const EdgeId m = graph.num_edges();
   TSD_CHECK(support.size() == m);
   if (config.num_threads <= 1) {
-    CsrView<std::uint64_t> view;
-    view.num_vertices = graph.num_vertices();
-    view.edges = graph.edges();
-    view.offsets = graph.offsets();
-    view.adj = graph.adjacency();
-    view.adj_edge_ids = graph.adjacency_edge_ids();
-    return PeelSupportToTrussness(view, std::move(support));
+    return PeelSupportToTrussness(CsrViewOf(graph), std::move(support));
   }
 
   std::vector<std::uint32_t> trussness(m, 2);

@@ -1,16 +1,20 @@
-// Shared support-peeling kernel (Algorithm 1 of the paper, after Wang–Cheng).
+// Shared support-peeling kernels over any CSR-shaped graph view (the global
+// Graph or a local ego-network), so the global and per-ego truss
+// computations share one audited implementation each:
 //
-// Works over any CSR-shaped graph view (the global Graph or a local
-// ego-network), so the global truss decomposition and the per-ego
-// decomposition share one audited implementation.
-//
-// Given initial edge supports, repeatedly removes a minimum-support edge,
-// assigns its trussness k = support + 2 (monotonically non-decreasing), and
-// decrements the support of the two other edges of every triangle the removed
-// edge participated in. Bucket-queue order gives O(1) amortized pops.
+//  * PeelSupportToTrussnessInto — the full decomposition (Algorithm 1 of the
+//    paper, after Wang–Cheng). Given initial edge supports, repeatedly
+//    removes a minimum-support edge, assigns its trussness k = support + 2
+//    (monotonically non-decreasing), and decrements the support of the two
+//    other edges of every triangle the removed edge participated in.
+//    Bucket-queue order gives O(1) amortized pops.
+//  * PeelBelowFloor — one threshold only: removes every edge outside the
+//    floor-truss and computes no trussness values (KTrussAtFloor globally,
+//    EgoFloorPeeler per ego-network).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,6 +36,70 @@ struct CsrView {
     return static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]);
   }
 };
+
+/// The CSR view of a whole Graph.
+inline CsrView<std::uint64_t> CsrViewOf(const Graph& graph) {
+  CsrView<std::uint64_t> view;
+  view.num_vertices = graph.num_vertices();
+  view.offsets = graph.offsets();
+  view.adj = graph.adjacency();
+  view.adj_edge_ids = graph.adjacency_edge_ids();
+  view.edges = graph.edges();
+  return view;
+}
+
+/// Peels `view` down to its floor-truss, floor = min_support + 2: every edge
+/// whose support is below `min_support` is removed, to a fixed point, and
+/// `(*dead)[e]` is set for each removed edge (resized to the edge count,
+/// reusing its capacity). `support` holds every edge's triangle count on
+/// entry; on return each surviving edge's entry is its exact support inside
+/// the floor-truss. `stack` is caller-owned scratch.
+///
+/// Each live edge's support stays exact — the number of triangles whose
+/// three edges are all live — so no bucket levels or clamping are needed:
+/// an edge is queued once, the moment its support drops below min_support,
+/// and dies when popped. A triangle stops counting when its first edge
+/// dies, so only that edge decrements the other two, and a popped edge's
+/// support says how many live triangles its adjacency scan must find
+/// before it can stop.
+template <typename OffsetT>
+void PeelBelowFloor(const CsrView<OffsetT>& view, std::uint32_t min_support,
+                    std::span<std::uint32_t> support, std::vector<char>* dead,
+                    std::vector<EdgeId>* stack) {
+  const std::size_t m = view.edges.size();
+  dead->assign(m, 0);
+  stack->clear();
+  for (EdgeId e = 0; e < m; ++e) {
+    if (support[e] < min_support) stack->push_back(e);
+  }
+  while (!stack->empty()) {
+    const EdgeId e = stack->back();
+    stack->pop_back();
+    (*dead)[e] = 1;
+    std::uint32_t live = support[e];
+    if (live == 0) continue;
+    const auto [u, v] = view.edges[e];
+    auto i = view.offsets[u];
+    auto j = view.offsets[v];
+    const auto u_end = view.offsets[u + 1];
+    const auto v_end = view.offsets[v + 1];
+    while (live > 0 && i < u_end && j < v_end) {
+      if (view.adj[i] < view.adj[j]) {
+        ++i;
+      } else if (view.adj[i] > view.adj[j]) {
+        ++j;
+      } else {
+        const EdgeId a = view.adj_edge_ids[i++];
+        const EdgeId b = view.adj_edge_ids[j++];
+        if ((*dead)[a] || (*dead)[b]) continue;
+        --live;
+        // An edge already queued sits below min_support and never matches.
+        if (support[a]-- == min_support) stack->push_back(a);
+        if (support[b]-- == min_support) stack->push_back(b);
+      }
+    }
+  }
+}
 
 /// Peels edges by support and writes the trussness of every edge into
 /// `*trussness` (resized to the edge count, reusing its capacity). `queue`

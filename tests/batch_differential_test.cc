@@ -269,6 +269,30 @@ TEST(BatchWorkspaceReuseTest, SteadyStateCapacityIsFlat) {
   EXPECT_EQ(pipeline.workspace(0).scratch_capacity_bytes(), high_water);
 }
 
+// The single-k searchers hold the same property: repeated online and bound
+// TopR calls — score phase, context phase, and the ego floor kernel's
+// scratch inside both — allocate nothing new in the session's workspace
+// once warm.
+TEST(BatchWorkspaceReuseTest, RepeatedOnlineAndBoundTopRDoNotGrowScratch) {
+  const Graph g = HolmeKim(200, 5, 0.6, 10);
+  const OnlineSearcher online(g);
+  const BoundSearcher bound(g);
+  QuerySession session;
+  QueryWorkspace& workspace =
+      session.PipelineFor(g, EgoTrussMethod::kHash).workspace(0);
+  auto run = [&] {
+    for (std::uint32_t k : {2u, 3u, 4u, 5u}) {
+      online.TopR(5, k, session);
+      bound.TopR(5, k, session);
+    }
+  };
+  run();  // warm-up
+  const std::size_t high_water = workspace.scratch_capacity_bytes();
+  EXPECT_GT(high_water, 0u);
+  for (int i = 0; i < 3; ++i) run();
+  EXPECT_EQ(workspace.scratch_capacity_bytes(), high_water);
+}
+
 // Satellite of the same property at the index layer: repeated TSD / GCT
 // score and context queries through one IndexQueryScratch allocate nothing
 // new once warm.

@@ -15,8 +15,10 @@
 #include "core/online_search.h"
 #include "core/query_pipeline.h"
 #include "core/tsd_index.h"
+#include "graph/ego_network.h"
 #include "graph/generators.h"
 #include "reference_impls.h"
+#include "truss/ego_floor.h"
 
 namespace tsd {
 namespace {
@@ -142,6 +144,33 @@ TEST(QueryPipelineTest, ParallelResultsMatchNaiveDefinition) {
     EXPECT_EQ(entry.score, naive_score) << "v=" << entry.vertex;
     EXPECT_EQ(entry.contexts.size(), naive_contexts.size())
         << "v=" << entry.vertex;
+  }
+}
+
+// The ego floor kernel's work counter is a sum over every vertex for the
+// online search, so it must not move with the thread count; it must also
+// equal the per-vertex kernel's own count, summed.
+TEST(QueryPipelineTest, OnlineEgoEdgesSupportedIsThreadInvariant) {
+  for (const GraphCase& test_case : TestGraphs()) {
+    const Graph& g = test_case.graph;
+    OnlineSearcher online(g);
+    for (std::uint32_t k : {3u, 4u, 5u}) {
+      std::uint64_t expected = 0;
+      EgoNetworkExtractor extractor(g);
+      EgoFloorPeeler peeler;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        EgoNetwork ego = extractor.Extract(v);
+        peeler.Peel(ego, k);
+        expected += peeler.edges_supported();
+      }
+      for (std::uint32_t threads : {1u, 2u, 8u}) {
+        QueryOptions options;
+        options.num_threads = threads;
+        online.set_query_options(options);
+        EXPECT_EQ(online.TopR(5, k).stats.ego_edges_supported, expected)
+            << test_case.name << " k=" << k << " threads=" << threads;
+      }
+    }
   }
 }
 

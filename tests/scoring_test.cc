@@ -1,15 +1,23 @@
 // Tests for the per-ego scoring kernels (truss / component / k-core models),
-// the TopRCollector ordering and pruning semantics, and the Lemma 2 upper
+// the single-threshold ego floor kernel against the full decomposition, the
+// TopRCollector ordering and pruning semantics, and the Lemma 2 upper
 // bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bound_search.h"
+#include "core/online_search.h"
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "graph/ego_network.h"
 #include "graph/generators.h"
+#include "truss/core_decomposition.h"
+#include "truss/ego_floor.h"
 #include "truss/ego_truss.h"
 #include "graph/triangle.h"
 
@@ -86,6 +94,173 @@ TEST(ScoreKCoresTest, CoreModelMergesWhatTrussSeparates) {
     if (context == SocialContext{1, 2, 3, 4}) truss_has_separate_x = true;
   }
   EXPECT_TRUE(truss_has_separate_x);
+}
+
+// ------------------------------------------------------- Ego floor kernel
+
+struct GraphCase {
+  std::string name;
+  Graph graph;
+};
+
+// The five graphs of the truss and pipeline differential suites.
+std::vector<GraphCase> TestGraphs() {
+  std::vector<GraphCase> cases;
+  cases.push_back({"figure1", PaperFigure1Graph()});
+  cases.push_back({"er", ErdosRenyi(80, 500, 3)});
+  cases.push_back({"hk", HolmeKim(250, 5, 0.6, 4)});
+  cases.push_back({"ba", BarabasiAlbert(200, 4, 5)});
+  cases.push_back({"rmat", RMat(8, 6, 0.45, 0.2, 0.2, 6)});
+  return cases;
+}
+
+/// Ego edges that must reach support counting at k: those of the ego's
+/// (k−1)-core, from an independent core decomposition. Step 1 (fewer than
+/// C(k,2) edges) and k = 2 count nothing.
+std::uint64_t ExpectedEdgesSupported(const EgoNetwork& ego,
+                                     const std::vector<std::uint32_t>& core,
+                                     std::uint32_t k) {
+  if (k == 2 || ego.num_edges() < std::uint64_t{k} * (k - 1) / 2) return 0;
+  std::uint64_t count = 0;
+  for (const Edge& e : ego.edges) {
+    if (core[e.u] >= k - 1 && core[e.v] >= k - 1) ++count;
+  }
+  return count;
+}
+
+class EgoFloorPeelerTest : public ::testing::TestWithParam<int> {};
+
+// The spec: at every k from 2 to one past the ego's maximum trussness, the
+// floor kernel's edges are exactly the edges of trussness ≥ k, its score
+// and contexts equal ScoreFromEgoTrussness over the full decomposition,
+// and its prefilter leaves exactly the (k−1)-core for support counting.
+TEST_P(EgoFloorPeelerTest, MatchesThresholdedFullDecomposition) {
+  const GraphCase test_case = TestGraphs()[GetParam()];
+  const Graph& g = test_case.graph;
+  EgoNetworkExtractor extractor(g);
+  EgoTrussDecomposer decomposer(EgoTrussMethod::kHash);
+  EgoFloorPeeler peeler;
+  EgoComponentScratch scratch;
+  EgoNetwork ego;
+  std::vector<std::uint32_t> trussness;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    extractor.ExtractInto(v, &ego);
+    decomposer.ComputeInto(ego, &trussness);
+    const std::vector<std::uint32_t> core =
+        CoreNumbersCsr(ego.num_members(), ego.offsets, ego.adj);
+    std::uint32_t max_trussness = 2;
+    for (std::uint32_t t : trussness) max_trussness = std::max(max_trussness, t);
+    for (std::uint32_t k = 2; k <= max_trussness + 1; ++k) {
+      const std::string label = test_case.name + " v=" + std::to_string(v) +
+                                " k=" + std::to_string(k);
+      std::vector<Edge> expected_edges;
+      for (EdgeId e = 0; e < ego.num_edges(); ++e) {
+        if (trussness[e] >= k) expected_edges.push_back(ego.edges[e]);
+      }
+      const std::span<const Edge> edges = peeler.Peel(ego, k);
+      EXPECT_EQ(std::vector<Edge>(edges.begin(), edges.end()), expected_edges)
+          << label;
+      EXPECT_EQ(peeler.edges_supported(),
+                ExpectedEdgesSupported(ego, core, k))
+          << label;
+      const ScoreResult expected = ScoreFromEgoTrussness(ego, trussness, k,
+                                                         /*want_contexts=*/true);
+      const ScoreResult actual =
+          ScoreFromEgoTrussEdges(ego, edges, /*want_contexts=*/true, scratch);
+      EXPECT_EQ(actual.score, expected.score) << label;
+      EXPECT_EQ(actual.contexts, expected.contexts) << label;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGraphs, EgoFloorPeelerTest, ::testing::Range(0, 5),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return TestGraphs()[info.param].name;
+                         });
+
+Graph Clique(VertexId n) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId w = u + 1; w < n; ++w) edges.emplace_back(u, w);
+  }
+  return Graph::FromEdges(std::move(edges), n);
+}
+
+TEST(EgoFloorPeelerEdgeCaseTest, IsolatedCenter) {
+  const Graph g = Graph::FromEdges({{1, 2}}, 3);
+  EgoNetworkExtractor extractor(g);
+  EgoNetwork ego = extractor.Extract(0);
+  ASSERT_EQ(ego.num_members(), 0u);
+  EgoFloorPeeler peeler;
+  for (const std::uint32_t k : {2u, 3u}) {
+    EXPECT_TRUE(peeler.Peel(ego, k).empty());
+    EXPECT_EQ(peeler.edges_supported(), 0u);
+  }
+}
+
+// The ego of a wheel's hub is its rim, a 6-cycle: one 2-truss context and
+// nothing from k = 3 on, where every member has degree 2 = k−1 and so
+// survives the prefilter, but every edge has support 0.
+TEST(EgoFloorPeelerEdgeCaseTest, TriangleFreeEgo) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 1; v <= 6; ++v) {
+    edges.emplace_back(0, v);
+    edges.emplace_back(v, v % 6 + 1);
+  }
+  const Graph g = Graph::FromEdges(std::move(edges), 7);
+  EgoNetworkExtractor extractor(g);
+  EgoNetwork ego = extractor.Extract(0);
+  ASSERT_EQ(ego.num_edges(), 6u);
+  EgoFloorPeeler peeler;
+  EgoComponentScratch scratch;
+  const ScoreResult two =
+      ScoreFromEgoTrussEdges(ego, peeler.Peel(ego, 2), true, scratch);
+  EXPECT_EQ(two.score, 1u);
+  EXPECT_EQ(two.contexts, (std::vector<SocialContext>{{1, 2, 3, 4, 5, 6}}));
+  EXPECT_TRUE(peeler.Peel(ego, 3).empty());
+  EXPECT_EQ(peeler.edges_supported(), 6u);
+  EXPECT_TRUE(peeler.Peel(ego, 4).empty());
+  EXPECT_EQ(peeler.edges_supported(), 0u);  // 6 edges < C(4,2)
+}
+
+// Every ego of K_{n+1} is K_n, which is exactly an n-truss.
+TEST(EgoFloorPeelerEdgeCaseTest, CliqueAtItsTrussnessAndOneAbove) {
+  for (const VertexId n : {3u, 4u, 7u}) {
+    const Graph g = Clique(n + 1);
+    EgoNetworkExtractor extractor(g);
+    EgoNetwork ego = extractor.Extract(n);
+    ASSERT_EQ(ego.num_edges(), n * (n - 1) / 2);
+    EgoFloorPeeler peeler;
+    EXPECT_EQ(peeler.Peel(ego, n).size(), ego.num_edges()) << "K" << n;
+    EXPECT_EQ(peeler.edges_supported(), ego.num_edges()) << "K" << n;
+    EXPECT_TRUE(peeler.Peel(ego, n + 1).empty()) << "K" << n;
+    EXPECT_EQ(peeler.edges_supported(), 0u) << "K" << n;
+  }
+}
+
+// The 2-truss is every edge: no support is counted, and the score counts
+// the ego's components that have an edge.
+TEST(EgoFloorPeelerEdgeCaseTest, KTwoKeepsEveryEdge) {
+  EgoNetwork ego = Figure1EgoOfV();
+  EgoFloorPeeler peeler;
+  const std::span<const Edge> edges = peeler.Peel(ego, 2);
+  EXPECT_EQ(std::vector<Edge>(edges.begin(), edges.end()), ego.edges);
+  EXPECT_EQ(peeler.edges_supported(), 0u);
+  EgoComponentScratch scratch;
+  EXPECT_EQ(ScoreFromEgoTrussEdges(ego, edges, false, scratch).score, 2u);
+}
+
+// The largest k a caller can pass: C(k, 2) needs 64 bits there, and the
+// answer is empty, through the kernel and through ScoreVertex alike.
+TEST(EgoFloorPeelerEdgeCaseTest, HugeKScoresZeroWithoutOverflow) {
+  EgoNetwork ego = Figure1EgoOfV();
+  EgoFloorPeeler peeler;
+  EXPECT_TRUE(peeler.Peel(ego, UINT32_MAX).empty());
+  EXPECT_EQ(peeler.edges_supported(), 0u);
+  const Graph g = PaperFigure1Graph();
+  OnlineSearcher online(g);
+  EXPECT_EQ(online.ScoreVertex(0, UINT32_MAX, true).score, 0u);
+  EXPECT_THROW(peeler.Peel(ego, 1), CheckError);
 }
 
 // ---------------------------------------------------------------- Collector

@@ -16,6 +16,7 @@
 // commands alternatively take --index=<snapshot> to mmap a file written by
 // `build` instead of re-reading and re-indexing the edge list.
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -166,7 +167,9 @@ void PrintTopR(const TopRResult& result, bool contexts,
   // across runs and thread counts.
   if (with_stats) {
     std::cerr << "search space: " << result.stats.vertices_scored
-              << " vertices, threads: " << result.stats.threads_used
+              << " vertices, ego edges supported: "
+              << result.stats.ego_edges_supported
+              << ", threads: " << result.stats.threads_used
               << ", time: " << HumanSeconds(result.stats.total_seconds)
               << "\n";
   }
@@ -294,6 +297,53 @@ std::vector<std::uint32_t> ParseUintList(const std::string& text) {
   return values;
 }
 
+/// Lowest accepted values of the query parameters.
+constexpr std::uint32_t kMinK = 2;
+constexpr std::uint32_t kMinR = 1;
+
+/// Prints the one-line diagnostic for a query parameter out of range.
+void BadQueryParameter(const std::string& name, std::uint32_t min,
+                       const std::string& value) {
+  std::cerr << "error: --" << name << " must be an integer in [" << min
+            << ", " << UINT32_MAX << "] (got " << value << ")\n";
+}
+
+/// Reads an integer query parameter (--k, --r) into `*out`, or returns
+/// false after printing a diagnostic when it is below `min` or above
+/// UINT32_MAX — a negative value must not wrap into a huge unsigned one.
+bool ReadQueryParameter(const Flags& flags, const std::string& name,
+                        std::int64_t default_value, std::uint32_t min,
+                        std::uint32_t* out) {
+  const std::int64_t value = flags.GetInt(name, default_value);
+  if (value < min || value > std::int64_t{UINT32_MAX}) {
+    BadQueryParameter(name, min, std::to_string(value));
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(value);
+  return true;
+}
+
+/// Same for a comma-separated list (batch --k, --r); every entry must be in
+/// range.
+bool ReadQueryParameterList(const Flags& flags, const std::string& name,
+                            const std::string& default_value,
+                            std::uint32_t min,
+                            std::vector<std::uint32_t>* out) {
+  const std::string text = flags.GetString(name, default_value);
+  if (text.find('-') != std::string::npos) {
+    BadQueryParameter(name, min, text);
+    return false;
+  }
+  *out = ParseUintList(text);
+  for (const std::uint32_t value : *out) {
+    if (value < min) {
+      BadQueryParameter(name, min, text);
+      return false;
+    }
+  }
+  return true;
+}
+
 int RunStats(const Graph& g, const Flags& flags) {
   const ParallelConfig config = ToParallelConfig(QueryOptionsFromFlags(flags));
   WallTimer decompose_timer;
@@ -337,8 +387,12 @@ int RunStats(const Graph& g, const Flags& flags) {
 
 int RunTopR(GraphSource& source, const Flags& flags) {
   const Graph& g = source.graph;
-  const auto k = static_cast<std::uint32_t>(flags.GetInt("k", 3));
-  const auto r = static_cast<std::uint32_t>(flags.GetInt("r", 10));
+  std::uint32_t k = 0;
+  std::uint32_t r = 0;
+  if (!ReadQueryParameter(flags, "k", 3, kMinK, &k) ||
+      !ReadQueryParameter(flags, "r", 10, kMinR, &r)) {
+    return 2;
+  }
   const std::string method = flags.GetString("method", "gct");
 
   SearcherHolder holder = MakeSearcher(source, method);
@@ -355,10 +409,12 @@ int RunTopR(GraphSource& source, const Flags& flags) {
 int RunBatch(GraphSource& source, const Flags& flags) {
   const Graph& g = source.graph;
   TSD_CHECK_MSG(flags.Has("k"), "batch requires --k=<k1,k2,...>");
-  const std::vector<std::uint32_t> ks =
-      ParseUintList(flags.GetString("k", ""));
-  const std::vector<std::uint32_t> rs =
-      ParseUintList(flags.GetString("r", "10"));
+  std::vector<std::uint32_t> ks;
+  std::vector<std::uint32_t> rs;
+  if (!ReadQueryParameterList(flags, "k", "", kMinK, &ks) ||
+      !ReadQueryParameterList(flags, "r", "10", kMinR, &rs)) {
+    return 2;
+  }
   TSD_CHECK_MSG(rs.size() == 1 || rs.size() == ks.size(),
                 "--r must be one value or one per --k entry");
 
@@ -415,7 +471,8 @@ int RunBatch(GraphSource& source, const Flags& flags) {
 int RunScore(const Graph& g, const Flags& flags) {
   TSD_CHECK_MSG(flags.Has("v"), "score requires --v=<vertex>");
   const auto v = static_cast<VertexId>(flags.GetInt("v", 0));
-  const auto k = static_cast<std::uint32_t>(flags.GetInt("k", 3));
+  std::uint32_t k = 0;
+  if (!ReadQueryParameter(flags, "k", 3, kMinK, &k)) return 2;
   TSD_CHECK_MSG(v < g.num_vertices(), "vertex out of range");
   OnlineSearcher online(g);
   const ScoreResult result = online.ScoreVertex(v, k, /*want_contexts=*/true);
@@ -469,8 +526,12 @@ int RunQuery(const Flags& flags) {
   TSD_CHECK_MSG(flags.Has("index-file"), "query requires --index-file=<file>");
   const std::string path = flags.GetString("index-file", "");
   const std::string kind = flags.GetString("index", "gct");
-  const auto k = static_cast<std::uint32_t>(flags.GetInt("k", 3));
-  const auto r = static_cast<std::uint32_t>(flags.GetInt("r", 10));
+  std::uint32_t k = 0;
+  std::uint32_t r = 0;
+  if (!ReadQueryParameter(flags, "k", 3, kMinK, &k) ||
+      !ReadQueryParameter(flags, "r", 10, kMinR, &r)) {
+    return 2;
+  }
   if (kind == "tsd") {
     TsdIndex index = TsdIndex::Load(path);
     index.set_query_options(QueryOptionsFromFlags(flags));
