@@ -1,13 +1,13 @@
 #include "core/bound_search.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
-#include "graph/triangle.h"
 #include "truss/k_truss.h"
 #include "truss/truss_plan.h"
 
@@ -32,6 +32,14 @@ class PipelineRearm {
   QueryPipeline& pipeline_;
   const Graph& graph_;
 };
+
+/// The trussness floor of the threshold-k sparsification (Property 1:
+/// only edges of trussness ≥ k+1 matter). Saturates at the largest k, where
+/// k + 1 would wrap to 0 and keep the whole graph; no graph has a
+/// UINT32_MAX-truss, so the saturated floor leaves it empty.
+std::uint32_t BoundFloor(std::uint32_t k) {
+  return k == std::numeric_limits<std::uint32_t>::max() ? k : k + 1;
+}
 
 }  // namespace
 
@@ -81,17 +89,19 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
     ScopedTimer t(&result.stats.preprocess_seconds);
     // Property 1: only edges with τ_G(e) ≥ k+1 can contribute, so the
     // preprocess peels straight to the (k+1)-truss instead of decomposing
-    // every level. The support count and m_v counts run on the same thread
-    // knobs as the scan phases, and the session's truss plan may prune
-    // below the floor first (CoreThenTruss drops core-bounded edges before
-    // any triangle counting).
+    // every level, and takes the m_v counts from the peel's final supports.
+    // The support counts run on the same thread knobs as the scan phases,
+    // and the session's truss plan may prune below the floor first
+    // (CoreThenTruss drops core-bounded edges before any triangle
+    // counting).
     const ParallelConfig config = ToParallelConfig(session.options());
     TrussPlanStats truss_stats;
-    reduced = KTrussAtFloor(graph_, k + 1, config, &truss_stats);
+    std::vector<std::uint64_t> ego_edges;
+    reduced = KTrussAtFloor(graph_, BoundFloor(k), config, &truss_stats,
+                            &ego_edges);
     result.stats.edges_pruned = truss_stats.edges_pruned;
+    result.stats.edges_recounted = truss_stats.edges_recounted;
     pipeline.Rebind(reduced);
-    const std::vector<std::uint64_t> ego_edges =
-        TrianglesPerVertex(reduced, config);
     pipeline.MapScores(reduced.num_vertices(), &bounds,
                        [&](QueryWorkspace&, VertexId v) {
                          return UpperBound(reduced.degree(v), ego_edges[v], k);
@@ -164,12 +174,13 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
     ScopedTimer t(&stats.preprocess_seconds);
     const ParallelConfig config = ToParallelConfig(session.options());
     TrussPlanStats truss_stats;
-    reduced = KTrussAtFloor(graph_, k_min + 1, config, &truss_stats);
+    std::vector<std::uint64_t> ego_edges;
+    reduced = KTrussAtFloor(graph_, BoundFloor(k_min), config, &truss_stats,
+                            ordered ? &ego_edges : nullptr);
     stats.edges_pruned = truss_stats.edges_pruned;
+    stats.edges_recounted = truss_stats.edges_recounted;
     pipeline.Rebind(reduced);
     if (ordered) {
-      const std::vector<std::uint64_t> ego_edges =
-          TrianglesPerVertex(reduced, config);
       pipeline.MapScores(
           reduced.num_vertices(), &bounds, [&](QueryWorkspace&, VertexId v) {
             return UpperBound(reduced.degree(v), ego_edges[v], k_min);

@@ -72,6 +72,10 @@ struct SearchStats {
   /// any triangle counting (TrussPlan::CoreThenTruss; 0 for the other
   /// plans and for searchers that run no global decomposition).
   std::uint64_t edges_pruned = 0;
+  /// Edges whose supports the bound searcher's floor peel recounted: those
+  /// left after the core prune with at least floor − 2 triangles
+  /// (TrussPlanStats::edges_recounted; 0 for the other searchers).
+  std::uint64_t edges_recounted = 0;
   /// Ego edges that reached support counting in the score phase, summed
   /// over scored vertices: what the ego floor kernel's (k−1)-core
   /// prefilter left of each ego (online and bound TopR; 0 elsewhere).

@@ -101,7 +101,8 @@ void EgoNetworkExtractor::ExtractInto(VertexId v, EgoNetwork* out) {
 
 namespace {
 
-/// Scratch cap for the pass-2 counting matrix (num_chunks × n × 8 bytes):
+/// Scratch cap for the pass-2 counting matrix (num_chunks × n × 8 bytes)
+/// plus the per-worker triangle mark arrays (num_threads × n × 4 bytes):
 /// above it the chunk count is lowered, and below 2 usable chunks the fill
 /// falls back to the sequential cursors — same budget discipline as the
 /// parallel triangle kernels.
@@ -122,12 +123,18 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
 
   // Chunking for the parallel distribution fill: the counting and fill
   // passes below must agree on chunk boundaries, so the chunk count is
-  // resolved once. Bounded so the counting matrix stays within budget.
+  // resolved once. Bounded so the counting matrix and the mark arrays stay
+  // within budget.
   std::uint32_t num_chunks = 1;
   if (config.num_threads > 1 && n > 0) {
     num_chunks = EffectiveChunks(config, n);
+    const std::uint64_t marks_bytes =
+        std::uint64_t{config.num_threads} * n * sizeof(EdgeId);
     const std::uint64_t max_chunks =
-        kFillMatrixBudgetBytes / (std::uint64_t{n} * sizeof(std::uint64_t));
+        marks_bytes >= kFillMatrixBudgetBytes
+            ? 0
+            : (kFillMatrixBudgetBytes - marks_bytes) /
+                  (std::uint64_t{n} * sizeof(std::uint64_t));
     num_chunks = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(num_chunks, std::max<std::uint64_t>(
                                                 std::uint64_t{1}, max_chunks)));
@@ -146,8 +153,9 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
     }
     ego_edges_.resize(offsets_[n]);
     std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    std::vector<EdgeId> marks;
     internal::ForEachTriangleInRange(
-        fwd, 0, n,
+        fwd, 0, n, marks,
         [&](VertexId u, VertexId v, VertexId w, EdgeId, EdgeId, EdgeId) {
           ego_edges_[cursor[w]++] = Edge{std::min(u, v), std::max(u, v)};
           ego_edges_[cursor[v]++] = Edge{std::min(u, w), std::max(u, w)};
@@ -167,22 +175,24 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
   // so concatenating their contributions per center reproduces the
   // sequential listing order exactly — the fill is bit-identical to the
   // sequential pass at any thread count.
+  // Both passes intersect through one mark array per worker.
   std::vector<std::vector<std::uint64_t>> matrix(num_chunks);
-  ParallelForChunks(n, num_chunks, config.num_threads,
-                    [&](std::uint32_t c, std::uint64_t begin,
-                        std::uint64_t end) {
-                      std::vector<std::uint64_t>& counts = matrix[c];
-                      counts.assign(n, 0);
-                      internal::ForEachTriangleInRange(
-                          fwd, static_cast<VertexId>(begin),
-                          static_cast<VertexId>(end),
-                          [&](VertexId u, VertexId v, VertexId w, EdgeId,
-                              EdgeId, EdgeId) {
-                            ++counts[u];
-                            ++counts[v];
-                            ++counts[w];
-                          });
-                    });
+  std::vector<std::vector<EdgeId>> marks(config.num_threads);
+  ParallelForChunksIndexed(
+      n, num_chunks, config.num_threads,
+      [&](std::uint32_t worker, std::uint32_t c, std::uint64_t begin,
+          std::uint64_t end) {
+        std::vector<std::uint64_t>& counts = matrix[c];
+        counts.assign(n, 0);
+        internal::ForEachTriangleInRange(
+            fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            marks[worker],
+            [&](VertexId u, VertexId v, VertexId w, EdgeId, EdgeId, EdgeId) {
+              ++counts[u];
+              ++counts[v];
+              ++counts[w];
+            });
+      });
 
   // Column-wise running sum: offsets_ from the per-center totals, and each
   // matrix cell rewritten to its chunk's start cursor within the slice.
@@ -203,12 +213,14 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
   }
 
   ego_edges_.resize(offsets_[n]);
-  ParallelForChunks(
+  ParallelForChunksIndexed(
       n, num_chunks, config.num_threads,
-      [&](std::uint32_t c, std::uint64_t begin, std::uint64_t end) {
+      [&](std::uint32_t worker, std::uint32_t c, std::uint64_t begin,
+          std::uint64_t end) {
         std::vector<std::uint64_t>& cursor = matrix[c];  // chunk-owned
         internal::ForEachTriangleInRange(
             fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            marks[worker],
             [&](VertexId u, VertexId v, VertexId w, EdgeId, EdgeId, EdgeId) {
               ego_edges_[cursor[w]++] = Edge{std::min(u, v), std::max(u, v)};
               ego_edges_[cursor[v]++] = Edge{std::min(u, w), std::max(u, w)};

@@ -137,12 +137,14 @@ void ForChunksOfVertices(VertexId n, const ParallelConfig& config, Fn&& fn) {
 
 // Shared skeleton of the support and per-vertex counting kernels: walk the
 // triangles of [0, n) and bump `slots` counters, where `emit(u, v, w, e_uv,
-// e_uw, e_vw, sink)` maps each triangle to the slots it increments. Below
-// the scratch budget every worker counts into a private array and the
-// arrays are merged in deterministic worker order; above it (huge graphs ×
-// many threads) one shared array of relaxed atomics bounds memory at O(m)
-// — both orders of commuting integer adds land on the same totals, so the
-// result is bit-identical either way.
+// e_uw, e_vw, sink)` maps each triangle to the slots it increments. Every
+// worker owns an n-sized mark array for the intersection. When the
+// per-worker counters and marks together fit the scratch budget, every
+// worker also counts into a private array and the arrays are merged in
+// deterministic worker order; above it (huge graphs × many threads) one
+// shared array of relaxed atomics bounds the counters at O(m) — both orders
+// of commuting integer adds land on the same totals, so the result is
+// bit-identical either way.
 template <typename CounterT, typename EmitFn>
 std::vector<CounterT> AccumulateOverTriangles(
     const internal::ForwardAdjacency& fwd, VertexId n, std::uint64_t slots,
@@ -150,8 +152,9 @@ std::vector<CounterT> AccumulateOverTriangles(
     EmitFn&& emit) {
   std::vector<CounterT> result(slots, 0);
   if (config.num_threads <= 1) {
+    std::vector<EdgeId> marks;
     internal::ForEachTriangleInRange(
-        fwd, 0, n,
+        fwd, 0, n, marks,
         [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv, EdgeId e_uw,
             EdgeId e_vw) {
           emit(u, v, w, e_uv, e_uw, e_vw,
@@ -160,11 +163,13 @@ std::vector<CounterT> AccumulateOverTriangles(
     return result;
   }
 
+  // Allocated lazily: workers that never run a chunk stay empty.
+  std::vector<std::vector<EdgeId>> marks(config.num_threads);
   const std::uint64_t per_worker_bytes =
-      std::uint64_t{config.num_threads} * slots * sizeof(CounterT);
+      std::uint64_t{config.num_threads} *
+      (slots * sizeof(CounterT) + std::uint64_t{n} * sizeof(EdgeId));
   if (per_worker_bytes <= scratch_budget_bytes) {
-    // Private arrays, allocated lazily (workers that never run a chunk
-    // stay empty) — no cross-core traffic on the hot O(ρ·m) loop.
+    // Private arrays, no cross-core traffic on the hot O(ρ·m) loop.
     std::vector<std::vector<CounterT>> per_worker(config.num_threads);
     ParallelForChunksIndexed(
         n, EffectiveChunks(config, n), config.num_threads,
@@ -174,6 +179,7 @@ std::vector<CounterT> AccumulateOverTriangles(
           if (local.empty()) local.assign(slots, 0);
           internal::ForEachTriangleInRange(
               fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+              marks[worker],
               [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv,
                   EdgeId e_uw, EdgeId e_vw) {
                 emit(u, v, w, e_uv, e_uw, e_vw,
@@ -194,7 +200,8 @@ std::vector<CounterT> AccumulateOverTriangles(
     return result;
   }
 
-  // Shared-atomic fallback: O(slots) memory regardless of thread count.
+  // Shared-atomic fallback: O(slots) counter memory regardless of thread
+  // count.
   std::unique_ptr<std::atomic<CounterT>[]> shared(
       new std::atomic<CounterT>[slots]);
   ParallelForChunksIndexed(
@@ -207,10 +214,11 @@ std::vector<CounterT> AccumulateOverTriangles(
       });
   ParallelForChunksIndexed(
       n, EffectiveChunks(config, n), config.num_threads,
-      [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
+      [&](std::uint32_t worker, std::uint32_t /*chunk*/,
           std::uint64_t begin, std::uint64_t end) {
         internal::ForEachTriangleInRange(
             fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            marks[worker],
             [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv, EdgeId e_uw,
                 EdgeId e_vw) {
               emit(u, v, w, e_uv, e_uw, e_vw, [&](std::uint64_t slot) {
@@ -236,11 +244,12 @@ std::uint64_t CountTriangles(const Graph& graph,
   if (config.num_threads <= 1) return CountTriangles(graph);
   const internal::ForwardAdjacency fwd(graph, config);
   std::vector<std::uint64_t> per_worker(config.num_threads, 0);
+  std::vector<std::vector<EdgeId>> marks(config.num_threads);
   ForChunksOfVertices(graph.num_vertices(), config,
                       [&](std::uint32_t worker, VertexId begin, VertexId end) {
                         std::uint64_t local = 0;
                         internal::ForEachTriangleInRange(
-                            fwd, begin, end,
+                            fwd, begin, end, marks[worker],
                             [&](VertexId, VertexId, VertexId, EdgeId, EdgeId,
                                 EdgeId) { ++local; });
                         per_worker[worker] += local;

@@ -2,7 +2,9 @@
 //
 // Uses the standard "forward" algorithm over a degree ordering: every
 // triangle is enumerated exactly once in O(ρ·m) total time, where ρ is the
-// graph's arboricity (Chiba–Nishizeki). This is the workhorse behind support
+// graph's arboricity (Chiba–Nishizeki). Each forward-list intersection is a
+// marked scan over an n-sized per-worker array rather than a rank merge
+// (see ForEachTriangleInRange). This is the workhorse behind support
 // computation (Algorithm 1, line 1), the ego-network edge counts m_v used by
 // the Lemma 2 upper bound, and the one-shot global ego-network extraction of
 // Section 6.2.
@@ -79,43 +81,57 @@ struct ForwardAdjacency {
 /// Enumerates every triangle whose lowest-ranked corner u lies in
 /// [u_begin, u_end) — the unit of work the parallel kernels hand to each
 /// chunk. ForEachTriangle is the [0, n) instantiation.
+///
+/// The intersection is a marked scan rather than a rank merge: for each u,
+/// `marks[w]` is set to e_uw + 1 for every w of u's forward slice, then each
+/// forward neighbour v's slice N⁺(v) is scanned once and tested against the
+/// marks, and u's slice is cleared again. Every w of N⁺(v) ranks above v, so
+/// a mark hit is exactly a w after v in u's slice (and u's last forward
+/// neighbour has no such w left to find). Triangles come out in the merge's
+/// order — u, then v in forward order, then w in rank order — so every
+/// listing, support and count is independent of the kernel. Each scan step
+/// is one load and a rarely taken branch, where a merge step is a
+/// data-dependent three-way branch that mispredicts often.
+///
+/// `marks` is caller-owned scratch, one per worker: sized to n on first use
+/// and all zero between calls (the same invariant as the ego extractor's
+/// local-id array).
 template <typename Fn>
 void ForEachTriangleInRange(const ForwardAdjacency& fwd, VertexId u_begin,
-                            VertexId u_end, Fn&& fn) {
+                            VertexId u_end, std::vector<EdgeId>& marks,
+                            Fn&& fn) {
+  if (marks.size() + 1 < fwd.offsets.size()) {
+    marks.assign(fwd.offsets.size() - 1, 0);
+  }
   for (VertexId u = u_begin; u < u_end; ++u) {
     const auto begin_u = fwd.offsets[u];
     const auto end_u = fwd.offsets[u + 1];
+    if (end_u - begin_u < 2) continue;  // a triangle needs two of them
     for (auto i = begin_u; i < end_u; ++i) {
+      marks[fwd.neighbors[i]] = fwd.edge_ids[i] + 1;
+    }
+    for (auto i = begin_u; i + 1 < end_u; ++i) {
       const VertexId v = fwd.neighbors[i];
       const EdgeId e_uv = fwd.edge_ids[i];
-      // Merge-intersect the forward lists of u and v (both sorted by rank).
-      auto pu = i + 1;  // forward neighbors of u after v
-      auto pv = fwd.offsets[v];
       const auto end_v = fwd.offsets[v + 1];
-      while (pu < end_u && pv < end_v) {
-        const std::uint32_t ru = fwd.neighbor_ranks[pu];
-        const std::uint32_t rv = fwd.neighbor_ranks[pv];
-        if (ru < rv) {
-          ++pu;
-        } else if (ru > rv) {
-          ++pv;
-        } else {
-          fn(u, v, fwd.neighbors[pu], e_uv, fwd.edge_ids[pu],
-             fwd.edge_ids[pv]);
-          ++pu;
-          ++pv;
+      for (auto j = fwd.offsets[v]; j < end_v; ++j) {
+        const EdgeId mark = marks[fwd.neighbors[j]];
+        if (mark != 0) {
+          fn(u, v, fwd.neighbors[j], e_uv, mark - 1, fwd.edge_ids[j]);
         }
       }
     }
+    for (auto i = begin_u; i < end_u; ++i) marks[fwd.neighbors[i]] = 0;
   }
 }
 
-/// Cap on the total per-worker accumulator scratch (num_threads × array
-/// bytes) the counting kernels may allocate. Above it they fall back to one
-/// shared array of relaxed atomics: slower per increment on contended cache
-/// lines, but O(m) instead of O(threads × m) memory — a billion-edge graph
-/// at 8 threads would otherwise need tens of GB of scratch. Results are
-/// identical either way.
+/// Cap on the total per-worker scratch (num_threads × (counter array + n
+/// marks) bytes) the counting kernels may allocate. Above it they fall back
+/// to one shared counter array of relaxed atomics: slower per increment on
+/// contended cache lines, but O(m) instead of O(threads × m) counter memory
+/// — a billion-edge graph at 8 threads would otherwise need tens of GB of
+/// scratch. The mark arrays stay per worker (O(threads × n)) on both paths.
+/// Results are identical either way.
 inline constexpr std::uint64_t kCountingScratchBudgetBytes =
     std::uint64_t{1} << 30;
 
@@ -139,7 +155,8 @@ std::vector<std::uint64_t> TrianglesPerVertexFromForward(
 template <typename Fn>
 void ForEachTriangle(const Graph& graph, Fn&& fn) {
   const internal::ForwardAdjacency fwd(graph);
-  internal::ForEachTriangleInRange(fwd, 0, graph.num_vertices(),
+  std::vector<EdgeId> marks;
+  internal::ForEachTriangleInRange(fwd, 0, graph.num_vertices(), marks,
                                    std::forward<Fn>(fn));
 }
 

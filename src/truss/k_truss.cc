@@ -1,7 +1,6 @@
 #include "truss/k_truss.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 #include "common/disjoint_set.h"
@@ -36,10 +35,25 @@ std::vector<std::vector<VertexId>> CollectComponents(
   return components;
 }
 
+/// The edges of `graph` that `keep(e)` selects, as a graph over the same
+/// vertex ids.
+template <typename KeepFn>
+Graph EdgeSubgraph(const Graph& graph, KeepFn&& keep) {
+  std::size_t kept = 0;
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) kept += keep(e) ? 1 : 0;
+  GraphBuilder builder;
+  builder.ReserveEdges(kept);
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    if (keep(e)) builder.AddEdge(graph.edge(e).u, graph.edge(e).v);
+  }
+  return builder.EnsureVertices(graph.num_vertices()).Build();
+}
+
 }  // namespace
 
 Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
-                    const ParallelConfig& config, TrussPlanStats* stats) {
+                    const ParallelConfig& config, TrussPlanStats* stats,
+                    std::vector<std::uint64_t>* ego_edges) {
   const TrussPlan plan = TrussPlan::FromAlgorithm(config.truss_plan, floor);
   TrussPlanStats local_stats;
   TrussPlanStats& out = stats != nullptr ? *stats : local_stats;
@@ -50,22 +64,45 @@ Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
     pruned = internal::PruneByCoreBound(graph, plan.min_trussness());
     out.edges_pruned = pruned.edges_pruned;
   }
-  const Graph& source = pruned.edges_pruned > 0 ? pruned.graph : graph;
+  const Graph* source = pruned.edges_pruned > 0 ? &pruned.graph : &graph;
 
-  std::vector<char> dead(source.num_edges(), 0);
-  if (plan.min_trussness() > 2) {
-    std::vector<std::uint32_t> support = ComputeSupport(source, config);
+  // A floor-truss edge lies in at least floor − 2 triangles of the source,
+  // so the floor-truss of the edges that clear that count is the
+  // floor-truss of the source. Peeling only those edges, on their own
+  // recounted supports, skips every triangle the cut edges close.
+  const std::uint32_t min_support = plan.min_trussness() - 2;
+  std::vector<std::uint32_t> support;
+  Graph cut;
+  if (min_support > 0 || ego_edges != nullptr) {
+    support = ComputeSupport(*source, config);
+    if (std::any_of(support.begin(), support.end(),
+                    [&](std::uint32_t s) { return s < min_support; })) {
+      cut = EdgeSubgraph(*source,
+                         [&](EdgeId e) { return support[e] >= min_support; });
+      std::vector<std::uint32_t>().swap(support);
+      source = &cut;
+      support = ComputeSupport(cut, config);
+    }
+  }
+  out.edges_recounted = source->num_edges();
+
+  std::vector<char> dead(source->num_edges(), 0);
+  if (min_support > 0) {
     std::vector<EdgeId> stack;
-    PeelBelowFloor(CsrViewOf(source), plan.min_trussness() - 2, support,
-                   &dead, &stack);
+    PeelBelowFloor(CsrViewOf(*source), min_support, support, &dead, &stack);
   }
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(static_cast<std::size_t>(
-      std::count(dead.begin(), dead.end(), 0)));
-  for (EdgeId e = 0; e < source.num_edges(); ++e) {
-    if (!dead[e]) edges.emplace_back(source.edge(e).u, source.edge(e).v);
+  if (ego_edges != nullptr) {
+    // Each surviving edge's support is exact inside the floor-truss, and a
+    // triangle through v counts once on each of its two edges at v.
+    ego_edges->assign(graph.num_vertices(), 0);
+    for (EdgeId e = 0; e < source->num_edges(); ++e) {
+      if (dead[e]) continue;
+      (*ego_edges)[source->edge(e).u] += support[e];
+      (*ego_edges)[source->edge(e).v] += support[e];
+    }
+    for (std::uint64_t& count : *ego_edges) count /= 2;
   }
-  return Graph::FromEdges(std::move(edges), graph.num_vertices());
+  return EdgeSubgraph(*source, [&](EdgeId e) { return !dead[e]; });
 }
 
 std::vector<std::vector<VertexId>> MaximalConnectedKTrusses(
@@ -99,14 +136,8 @@ std::vector<EdgeId> KTrussEdges(
 Graph KTrussSubgraph(const Graph& graph,
                      const std::vector<std::uint32_t>& edge_trussness,
                      std::uint32_t k) {
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (edge_trussness[e] >= k) {
-      const Edge& edge = graph.edge(e);
-      edges.emplace_back(edge.u, edge.v);
-    }
-  }
-  return Graph::FromEdges(std::move(edges), graph.num_vertices());
+  return EdgeSubgraph(graph,
+                      [&](EdgeId e) { return edge_trussness[e] >= k; });
 }
 
 std::vector<std::vector<VertexId>> MaximalConnectedKCores(

@@ -33,19 +33,28 @@ Graph KTrussSubgraph(const Graph& graph,
                      std::uint32_t k);
 
 /// The `floor`-truss of `graph` (same vertex id space), computed without a
-/// trussness decomposition: supports are counted once, then every edge with
-/// support below floor − 2 is peeled to a fixed point. Edge-for-edge equal
-/// to KTrussSubgraph(graph, TrussDecomposition(graph).edge_trussness(),
-/// floor), at any thread count and under every plan; floor ≤ 2 returns the
-/// whole graph. config.truss_plan keeps its meaning: when it resolves to
-/// CoreThenTruss, the edges the Burkhardt core bound rules out
-/// (internal::PruneByCoreBound) are dropped before support counting and
-/// reported in `stats->edges_pruned`. The other plans differ only in how a
-/// full decomposition peels, so here they run the same peel. Extra memory
-/// is O(m); `stats` (optional) receives the execution report.
+/// trussness decomposition. Edge-for-edge equal to KTrussSubgraph(graph,
+/// TrussDecomposition(graph).edge_trussness(), floor), at any thread count
+/// and under every plan; floor ≤ 2 returns the whole graph. Steps:
+///  1. config.truss_plan keeps its meaning: when it resolves to
+///     CoreThenTruss, the edges the Burkhardt core bound rules out
+///     (internal::PruneByCoreBound) are dropped first and reported in
+///     `stats->edges_pruned`. The other plans differ only in how a full
+///     decomposition peels, so here they skip this step.
+///  2. Supports are counted once. A floor-truss edge lies in at least
+///     floor − 2 triangles, so only edges with that much support are kept
+///     (`stats->edges_recounted`), and their supports are counted again on
+///     the kept graph alone.
+///  3. PeelBelowFloor removes every kept edge with support below floor − 2,
+///     to a fixed point.
+/// Extra memory is O(m); `stats` (optional) receives the execution report.
+/// `ego_edges` (optional) receives m_v for every vertex of the result — the
+/// triangles through v inside the floor-truss, TrianglesPerVertex(result) —
+/// taken from the peel's final supports at no extra triangle pass.
 Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
                     const ParallelConfig& config,
-                    TrussPlanStats* stats = nullptr);
+                    TrussPlanStats* stats = nullptr,
+                    std::vector<std::uint64_t>* ego_edges = nullptr);
 
 /// Connected components of the subgraph induced by vertices with core
 /// number ≥ k — the "maximal connected k-cores" of the Core-Div model [20].

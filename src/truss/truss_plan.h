@@ -124,6 +124,10 @@ struct TrussPlanStats {
   /// Edges dropped by the CoreThenTruss prefilter before triangle counting
   /// (0 for the other plans, and always 0 when min_trussness == 2).
   std::uint64_t edges_pruned = 0;
+  /// KTrussAtFloor only: edges that survive its support cut (support ≥
+  /// floor − 2 after any core prune), whose supports it recounts before
+  /// the floor peel. 0 on TrussnessWithPlan.
+  std::uint64_t edges_recounted = 0;
   /// The auto-tuner inputs (filled for every plan; cheap).
   GraphStatistics graph_stats;
 };

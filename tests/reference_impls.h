@@ -12,6 +12,7 @@
 
 #include "common/disjoint_set.h"
 #include "graph/graph.h"
+#include "graph/triangle.h"
 
 namespace tsd::testing {
 
@@ -25,6 +26,39 @@ inline std::uint64_t NaiveTriangleCount(const Graph& g) {
     }
   }
   return count / 3;
+}
+
+/// The forward algorithm with a rank-merge intersection: for each u, each
+/// forward neighbour v in rank order, the forward lists of u (after v) and
+/// v are merged by rank and every common w is emitted as
+/// fn(u, v, w, e_uv, e_uw, e_vw). The library's marked-scan kernel
+/// (internal::ForEachTriangleInRange) must emit the same sequence.
+template <typename Fn>
+void MergeForEachTriangle(const Graph& g, Fn&& fn) {
+  const internal::ForwardAdjacency fwd(g);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto end_u = fwd.offsets[u + 1];
+    for (auto i = fwd.offsets[u]; i < end_u; ++i) {
+      const VertexId v = fwd.neighbors[i];
+      auto pu = i + 1;
+      auto pv = fwd.offsets[v];
+      const auto end_v = fwd.offsets[v + 1];
+      while (pu < end_u && pv < end_v) {
+        const std::uint32_t ru = fwd.neighbor_ranks[pu];
+        const std::uint32_t rv = fwd.neighbor_ranks[pv];
+        if (ru < rv) {
+          ++pu;
+        } else if (ru > rv) {
+          ++pv;
+        } else {
+          fn(u, v, fwd.neighbors[pu], fwd.edge_ids[i], fwd.edge_ids[pu],
+             fwd.edge_ids[pv]);
+          ++pu;
+          ++pv;
+        }
+      }
+    }
+  }
 }
 
 /// Brute-force support of every edge.

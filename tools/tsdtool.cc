@@ -169,6 +169,7 @@ void PrintTopR(const TopRResult& result, bool contexts,
     std::cerr << "search space: " << result.stats.vertices_scored
               << " vertices, ego edges supported: "
               << result.stats.ego_edges_supported
+              << ", edges recounted: " << result.stats.edges_recounted
               << ", threads: " << result.stats.threads_used
               << ", time: " << HumanSeconds(result.stats.total_seconds)
               << "\n";
