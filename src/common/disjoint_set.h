@@ -1,7 +1,8 @@
 // Union-find (disjoint set union) with union by size and path halving.
 // Used for connected-component identification of social contexts, Kruskal's
 // maximum spanning forest in TSD-index construction, and supernode merging in
-// GCT-index construction.
+// GCT-index construction. GroupBySet is the one root → slot → group pass that
+// turns a finished union-find into component or context lists.
 #pragma once
 
 #include <cstdint>
@@ -64,5 +65,29 @@ class DisjointSet {
   std::vector<std::uint32_t> size_;
   std::size_t num_sets_ = 0;
 };
+
+/// Appends one group per set to `*groups`: visits the ids i < dsu.size()
+/// with include(i) in ascending order, opens a new group the first time a
+/// set's root is seen (so groups come out in order of smallest included
+/// member), and calls emit(group, i) to add i to its set's group. Roots map
+/// to groups through the dense `slot_of_root`, caller scratch that is
+/// overwritten.
+template <typename Group, typename IncludeFn, typename EmitFn>
+void GroupBySet(DisjointSet& dsu, std::vector<std::uint32_t>& slot_of_root,
+                std::vector<Group>* groups, IncludeFn&& include,
+                EmitFn&& emit) {
+  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+  const auto n = static_cast<std::uint32_t>(dsu.size());
+  slot_of_root.assign(n, kNoSlot);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!include(i)) continue;
+    const std::uint32_t root = dsu.Find(i);
+    if (slot_of_root[root] == kNoSlot) {
+      slot_of_root[root] = static_cast<std::uint32_t>(groups->size());
+      groups->emplace_back();
+    }
+    emit((*groups)[slot_of_root[root]], i);
+  }
+}
 
 }  // namespace tsd

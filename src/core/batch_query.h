@@ -73,8 +73,7 @@ class BatchQueryRunner {
   /// Bound-ordered variant of Scan (the Algorithm 4 discipline for the
   /// whole batch): `bounds[v]` must upper-bound v's score at EVERY
   /// requested threshold — the bound evaluated at the smallest requested k
-  /// suffices, because both known bound formulas (Lemma 2's min(d/k,
-  /// m_v/C(k,2)) and the TSD forest bound qualified(k)/(k-1)) are
+  /// suffices, because Lemma 2's bound min(d/k, m_v/C(k,2)) is
   /// non-increasing in k, even though scores themselves are not monotone
   /// (contexts can split as k grows) — and `order` must visit candidates
   /// by non-increasing bound. The scan stops as soon as every

@@ -1,16 +1,24 @@
 #include "core/dynamic_tsd_index.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
-#include "common/timer.h"
-#include "core/batch_query.h"
 #include "core/max_spanning_forest.h"
-#include "core/query_pipeline.h"
-#include "core/top_r_collector.h"
 
 namespace tsd {
+
+const std::uint32_t* DynamicTsdIndex::NewSlice(
+    VertexId universe, std::span<const VertexId> u,
+    std::span<const VertexId> v, std::span<const std::uint32_t> weight) {
+  const std::size_t size = weight.size();
+  auto* slice = new std::uint32_t[2 + 3 * size];
+  slice[0] = universe;
+  slice[1] = static_cast<std::uint32_t>(size);
+  std::uint32_t* out = std::copy(u.begin(), u.end(), slice + 2);
+  out = std::copy(v.begin(), v.end(), out);
+  std::copy(weight.begin(), weight.end(), out);
+  return slice;
+}
 
 DynamicTsdIndex::DynamicTsdIndex(const Graph& initial, EgoTrussMethod method)
     : graph_(initial), method_(method), maint_decomposer_(method) {
@@ -33,7 +41,7 @@ DynamicTsdIndex::~DynamicTsdIndex() {
   // slices are freed here.
   ForestView* view = view_.load(std::memory_order_relaxed);
   for (VertexId v = 0; v < view->num_vertices; ++v) {
-    delete view->table->slots[v].load(std::memory_order_relaxed);
+    DeleteSlice(view->table->slots[v].load(std::memory_order_relaxed));
   }
   delete view->table;
   delete view;
@@ -64,22 +72,36 @@ void DynamicTsdIndex::RebuildVertex(VertexId v) {
   ExtractEgo(v, &maint_ego_);
   maint_decomposer_.ComputeInto(maint_ego_, &maint_trussness_);
 
-  auto* slice = new ForestSlice;
-  slice->universe = graph_.num_vertices();
+  // A forest has fewer edges than the ego has members, so reserving that
+  // many up front keeps the scratch from regrowing mid-forest.
+  for (std::vector<std::uint32_t>* scratch :
+       {&maint_u_, &maint_v_, &maint_w_}) {
+    scratch->clear();
+    scratch->reserve(maint_ego_.num_members());
+  }
   internal::MaximumSpanningForest(
       maint_ego_, maint_trussness_, maint_dsu_,
       [&](VertexId gu, VertexId gv, std::uint32_t w) {
-        slice->edges.push_back(ForestEdge{gu, gv, w});
+        maint_u_.push_back(gu);
+        maint_v_.push_back(gv);
+        maint_w_.push_back(w);
       });
+  const std::uint32_t* slice =
+      NewSlice(graph_.num_vertices(), maint_u_, maint_v_, maint_w_);
 
   // Publish the fresh slice; the displaced one stays readable until its
   // grace period passes. Serialized with all other writer-side calls by the
   // updater contract this function already requires.
   epochs_.AssertWriter();
   ForestView* view = view_.load(std::memory_order_relaxed);
-  const ForestSlice* old = view->table->slots[v].load(std::memory_order_relaxed);
+  const std::uint32_t* old =
+      view->table->slots[v].load(std::memory_order_relaxed);
   view->table->slots[v].store(slice, std::memory_order_release);
-  if (old != nullptr) epochs_.Retire(old);
+  if (old != nullptr) {
+    epochs_.Retire(const_cast<std::uint32_t*>(old), [](void* p) {
+      DeleteSlice(static_cast<const std::uint32_t*>(p));
+    });
+  }
 }
 
 bool DynamicTsdIndex::InsertEdge(VertexId u, VertexId v) {
@@ -126,8 +148,7 @@ VertexId DynamicTsdIndex::AddVertex() {
   const VertexId n = graph_.num_vertices();
   ForestView* old_view = view_.load(std::memory_order_relaxed);
 
-  auto* slice = new ForestSlice;  // isolated vertex: empty forest
-  slice->universe = n;
+  const std::uint32_t* slice = NewSlice(n, {}, {}, {});  // empty forest
 
   SliceTable* table = old_view->table;
   if (table->capacity < n) {
@@ -149,218 +170,25 @@ VertexId DynamicTsdIndex::AddVertex() {
   return v;
 }
 
-std::uint32_t DynamicTsdIndex::ScoreIn(const ForestView& view, VertexId v,
-                                       std::uint32_t k,
-                                       IndexQueryScratch& scratch) const {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-  // The forest property gives score = |endpoints| - |edges| over the
-  // weight-≥k prefix. Dense scratch sized by the slice's own universe (see
-  // the ForestSlice comment — the view's count can be stale relative to a
-  // freshly swapped slice).
-  scratch.ids.Begin(slice.universe);
-  std::uint32_t edges = 0;
-  for (const ForestEdge& e : slice.edges) {
-    if (e.weight < k) break;  // sorted descending
-    ++edges;
-    scratch.ids.Insert(e.u);
-    scratch.ids.Insert(e.v);
-  }
-  return scratch.ids.size() - edges;
-}
-
-ScoreResult DynamicTsdIndex::ScoreWithContextsIn(
-    const ForestView& view, VertexId v, std::uint32_t k,
-    IndexQueryScratch& scratch) const {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-
-  // Map touched global endpoints to dense local ids (same kernel as
-  // TsdIndex::ScoreWithContexts, over the maintained slice).
-  scratch.ids.Begin(slice.universe);
-  std::size_t qualified = 0;
-  for (const ForestEdge& e : slice.edges) {
-    if (e.weight < k) break;
-    scratch.ids.Insert(e.u);
-    scratch.ids.Insert(e.v);
-    ++qualified;
-  }
-  const std::vector<VertexId>& global = scratch.ids.keys();
-
-  scratch.dsu.Reset(global.size());
-  for (std::size_t i = 0; i < qualified; ++i) {
-    scratch.dsu.Union(scratch.ids.Insert(slice.edges[i].u),
-                      scratch.ids.Insert(slice.edges[i].v));
-  }
-
-  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  scratch.slots.assign(global.size(), kNoSlot);
-  ScoreResult result;
-  for (std::uint32_t i = 0; i < global.size(); ++i) {
-    const std::uint32_t root = scratch.dsu.Find(i);
-    if (scratch.slots[root] == kNoSlot) {
-      scratch.slots[root] = static_cast<std::uint32_t>(result.contexts.size());
-      result.contexts.emplace_back();
-    }
-    result.contexts[scratch.slots[root]].push_back(global[i]);
-  }
-  result.score = static_cast<std::uint32_t>(result.contexts.size());
-  for (SocialContext& context : result.contexts) {
-    std::sort(context.begin(), context.end());
-  }
-  std::sort(result.contexts.begin(), result.contexts.end(),
-            [](const SocialContext& a, const SocialContext& b) {
-              return a.front() < b.front();
-            });
-  return result;
-}
-
-std::uint32_t DynamicTsdIndex::ScoreUpperBoundIn(const ForestView& view,
-                                                 VertexId v,
-                                                 std::uint32_t k) const {
-  TSD_DCHECK(k >= 2);
-  TSD_DCHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-  const auto it = std::partition_point(
-      slice.edges.begin(), slice.edges.end(),
-      [k](const ForestEdge& e) { return e.weight >= k; });
-  return static_cast<std::uint32_t>(it - slice.edges.begin()) / (k - 1);
-}
-
-void DynamicTsdIndex::ScoresForThresholdsIn(
-    const ForestView& view, VertexId v,
-    std::span<const std::uint32_t> thresholds, IndexQueryScratch& scratch,
-    std::uint32_t* scores) const {
-  TSD_DCHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-  // Weights are sorted descending, so the qualified prefix only grows as
-  // the threshold drops: one sweep serves every k (same discipline as
-  // TsdIndex::ScoresForThresholds, over the maintained forest slice).
-  scratch.ids.Begin(slice.universe);
-  std::size_t i = 0;
-  std::uint32_t qualified = 0;
-  for (std::size_t t = 0; t < thresholds.size(); ++t) {
-    const std::uint32_t k = thresholds[t];
-    TSD_DCHECK(t == 0 || thresholds[t - 1] > k);
-    while (i < slice.edges.size() && slice.edges[i].weight >= k) {
-      ++qualified;
-      scratch.ids.Insert(slice.edges[i].u);
-      scratch.ids.Insert(slice.edges[i].v);
-      ++i;
-    }
-    scores[t] = scratch.ids.size() - qualified;
-  }
-}
-
-std::uint32_t DynamicTsdIndex::Score(VertexId v, std::uint32_t k,
-                                     IndexQueryScratch& scratch) const {
-  EpochGuard guard(epochs_);
-  return ScoreIn(CurrentView(), v, k, scratch);
-}
-
-ScoreResult DynamicTsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
-                                               IndexQueryScratch& scratch) const {
-  EpochGuard guard(epochs_);
-  return ScoreWithContextsIn(CurrentView(), v, k, scratch);
-}
-
-std::uint32_t DynamicTsdIndex::ScoreUpperBound(VertexId v,
-                                               std::uint32_t k) const {
-  EpochGuard guard(epochs_);
-  return ScoreUpperBoundIn(CurrentView(), v, k);
-}
-
-void DynamicTsdIndex::ScoresForThresholds(
-    VertexId v, std::span<const std::uint32_t> thresholds,
-    IndexQueryScratch& scratch, std::uint32_t* scores) const {
-  EpochGuard guard(epochs_);
-  ScoresForThresholdsIn(CurrentView(), v, thresholds, scratch, scores);
-}
-
 TopRResult DynamicTsdIndex::TopR(std::uint32_t r, std::uint32_t k,
                                  QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-
   // One pin brackets the whole query; the pipeline workers it forks run
   // inside it (fork/join is the happens-before bracket), so every kernel
-  // call below reads through this one pinned view.
+  // call reads through this one pinned view.
   EpochGuard guard(epochs_);
   const ForestView& view = CurrentView();
-  const VertexId n = view.num_vertices;
-
-  // Index-only pipeline, like the frozen TsdIndex.
-  QueryPipeline& pipeline = session.IndexPipeline();
-  std::vector<std::uint32_t> bounds;
-  pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-    return ScoreUpperBoundIn(view, v, k);
-  });
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
-
-  TopRCollector collector(r);
-  result.stats.vertices_scored =
-      pipeline.ScoreOrdered(order, bounds, &collector,
-                            [&](QueryWorkspace& ws, VertexId v) {
-                              return ScoreIn(view, v, k, ws.index_scratch());
-                            });
-  pipeline.MaterializeEntries(
-      collector.Ranked(), &result.entries, [&](QueryWorkspace& ws, VertexId v) {
-        return ScoreWithContextsIn(view, v, k, ws.index_scratch()).contexts;
-      });
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
+  return ForestTopR(
+      view.num_vertices, [&view](VertexId v) { return SliceAt(view, v); }, r,
+      k, session);
 }
 
 std::vector<TopRResult> DynamicTsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
-  WallTimer total;
-  std::vector<TopRResult> results(queries.size());
-  if (queries.empty()) return results;
-  SearchStats stats;
-  BatchQueryRunner runner(queries);
-  QueryPipeline& pipeline = session.IndexPipeline();
-
-  // One pin brackets the whole batch (cf. TopR above).
-  EpochGuard guard(epochs_);
+  EpochGuard guard(epochs_);  // one pin brackets the whole batch (cf. TopR)
   const ForestView& view = CurrentView();
-
-  // One forest-slice sweep per vertex answers every threshold (the TSD
-  // multi-k discipline over the dynamic forest slices); with exact multi-k
-  // scores this cheap, the bound ordering would not pay, so the batch path
-  // scans the full range.
-  {
-    ScopedTimer t(&stats.score_seconds);
-    stats.vertices_scored = runner.Scan(
-        pipeline, view.num_vertices,
-        [this, &runner, &view](QueryWorkspace& ws, VertexId v,
-                               std::uint32_t* out) {
-          ScoresForThresholdsIn(view, v, runner.thresholds(),
-                                ws.index_scratch(), out);
-        });
-  }
-
-  {
-    ScopedTimer t(&stats.context_seconds);
-    runner.MaterializeGrouped(
-        pipeline, &results, [](QueryWorkspace&, VertexId) {},
-        [this, &view](QueryWorkspace& ws, VertexId v, std::uint32_t k) {
-          return ScoreWithContextsIn(view, v, k, ws.index_scratch()).contexts;
-        });
-  }
-
-  stats.threads_used = pipeline.num_threads();
-  stats.total_seconds = total.Seconds();
-  FillBatchStats(&results, stats);
-  return results;
+  return ForestSearchBatch(
+      view.num_vertices, [&view](VertexId v) { return SliceAt(view, v); },
+      queries, session);
 }
 
 TsdIndex DynamicTsdIndex::Freeze() const {
@@ -373,11 +201,12 @@ TsdIndex DynamicTsdIndex::Freeze() const {
   std::vector<VertexId> edge_v;
   std::vector<std::uint32_t> weight;
   for (VertexId v = 0; v < n; ++v) {
-    for (const ForestEdge& e : SliceOf(view, v).edges) {
-      edge_u.push_back(e.u);
-      edge_v.push_back(e.v);
-      weight.push_back(e.weight);
-      index.max_weight_ = std::max(index.max_weight_, e.weight);
+    const ForestSlice slice = SliceAt(view, v);
+    edge_u.insert(edge_u.end(), slice.u.begin(), slice.u.end());
+    edge_v.insert(edge_v.end(), slice.v.begin(), slice.v.end());
+    weight.insert(weight.end(), slice.weight.begin(), slice.weight.end());
+    if (!slice.weight.empty()) {
+      index.max_weight_ = std::max(index.max_weight_, slice.weight.front());
     }
     offsets[v + 1] = edge_u.size();
   }

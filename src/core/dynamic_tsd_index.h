@@ -13,15 +13,19 @@
 // untouched. Property tests verify equality with a from-scratch rebuild
 // after every update.
 //
+// Queries run the shared kernels and drivers of core/forest_slice.h — the
+// same code TsdIndex runs — over ForestSlice views of the published slices,
+// all read through the one view the query's epoch pin covers.
+//
 // Concurrency contract (the epoch design; common/epoch.h):
 //  * Queries are const, lock-free, and safe *concurrently with updates*.
-//    Each per-vertex forest is an immutable ForestSlice published through an
-//    atomic pointer; every public query entry point pins an epoch once (one
-//    EpochGuard per query or batch), loads the current ForestView, and reads
-//    only immutable data from there. Updates replace slices by atomic swap
-//    and retire the old versions to the epoch manager, which frees them only
-//    after every pinned reader has moved on — readers never block, never
-//    lock, and never observe freed memory.
+//    Each per-vertex forest is an immutable slice buffer published through
+//    an atomic pointer; every public query entry point pins an epoch once
+//    (one EpochGuard per query or batch), loads the current ForestView, and
+//    reads only immutable data from there. Updates replace slices by atomic
+//    swap and retire the old versions to the epoch manager, which frees them
+//    only after every pinned reader has moved on — readers never block,
+//    never lock, and never observe freed memory.
 //  * Updates (InsertEdge / RemoveEdge / AddVertex) are serialized by the
 //    caller — one updater thread, or a mutex around the update path (the
 //    serving layer's LiveUpdateApplier does the latter). They no longer
@@ -43,10 +47,12 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/disjoint_set.h"
 #include "common/epoch.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "core/forest_slice.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
 #include "core/scoring.h"
@@ -89,7 +95,10 @@ class DynamicTsdIndex : public DiversitySearcher {
   /// is allocation-free in the steady state (mirrors TsdIndex); the
   /// convenience overload allocates a throwaway scratch per call.
   std::uint32_t Score(VertexId v, std::uint32_t k,
-                      IndexQueryScratch& scratch) const;
+                      IndexQueryScratch& scratch) const {
+    EpochGuard guard(epochs_);
+    return ForestScore(SliceOf(CurrentView(), v), k, scratch);
+  }
   std::uint32_t Score(VertexId v, std::uint32_t k) const {
     IndexQueryScratch scratch;
     return Score(v, k, scratch);
@@ -97,31 +106,41 @@ class DynamicTsdIndex : public DiversitySearcher {
 
   /// Score plus materialized social contexts.
   ScoreResult ScoreWithContexts(VertexId v, std::uint32_t k,
-                                IndexQueryScratch& scratch) const;
+                                IndexQueryScratch& scratch) const {
+    EpochGuard guard(epochs_);
+    return ForestScoreWithContexts(SliceOf(CurrentView(), v), k, scratch);
+  }
   ScoreResult ScoreWithContexts(VertexId v, std::uint32_t k) const {
     IndexQueryScratch scratch;
     return ScoreWithContexts(v, k, scratch);
   }
 
-  std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
+  /// The s̃core(v) upper bound (Section 5.2). Always ≥ Score(v, k).
+  std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const {
+    EpochGuard guard(epochs_);
+    return ForestScoreUpperBound(SliceOf(CurrentView(), v), k);
+  }
 
   /// Scores v at every threshold of `thresholds` (strictly descending) in
-  /// one sweep over the vertex's forest slice — the same multi-k kernel as
-  /// the frozen TsdIndex, over the maintained per-vertex forests.
+  /// one sweep over the vertex's forest slice.
   void ScoresForThresholds(VertexId v,
                            std::span<const std::uint32_t> thresholds,
                            IndexQueryScratch& scratch,
-                           std::uint32_t* scores) const;
+                           std::uint32_t* scores) const {
+    EpochGuard guard(epochs_);
+    ForestScoresForThresholds(SliceOf(CurrentView(), v), thresholds, scratch,
+                              scores);
+  }
 
   using DiversitySearcher::SearchBatch;
   using DiversitySearcher::TopR;
 
+  /// The s̃core-ordered top-r scan of TsdIndex::TopR under one epoch pin.
   TopRResult TopR(std::uint32_t r, std::uint32_t k,
                   QuerySession& session) const override;
 
-  /// Amortized batch path (mirrors TsdIndex::SearchBatch): one forest-slice
-  /// sweep per vertex scores every requested threshold, winners grouped by
-  /// vertex for the context phase. Bit-identical to per-query TopR.
+  /// The batch path of TsdIndex::SearchBatch under one epoch pin:
+  /// bit-identical to per-query TopR.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 
@@ -147,31 +166,35 @@ class DynamicTsdIndex : public DiversitySearcher {
   TsdIndex Freeze() const;
 
  private:
-  struct ForestEdge {
-    VertexId u;
-    VertexId v;
-    std::uint32_t weight;
-  };
-
-  /// One vertex's maximum-spanning-forest, immutable once published.
-  /// `universe` is the vertex-count at build time: endpoint ids are all
-  /// < universe, and query kernels size their dense scratch maps from it —
-  /// NOT from the view's vertex count, because a reader holding an older
-  /// view can legitimately observe a newer slice whose endpoints exceed the
-  /// old view's range (slices and the view are published independently).
-  struct ForestSlice {
-    VertexId universe = 0;
-    std::vector<ForestEdge> edges;  // sorted by weight descending
-  };
+  /// One vertex's maximum spanning forest, immutable once published, is
+  /// one exact-size array [universe | size | u… | v… | weight…] whose three
+  /// `size`-long runs are sorted by weight descending: one heap block per
+  /// slice, header included, and no capacity slack. `universe` is the
+  /// vertex count at build time: endpoint ids are all < universe, and query
+  /// kernels size their dense scratch maps from it — NOT from the view's
+  /// vertex count, because a reader holding an older view can legitimately
+  /// observe a newer slice whose endpoints exceed the old view's range
+  /// (slices and the view are published independently).
+  static const std::uint32_t* NewSlice(VertexId universe,
+                                       std::span<const VertexId> u,
+                                       std::span<const VertexId> v,
+                                       std::span<const std::uint32_t> weight);
+  static void DeleteSlice(const std::uint32_t* slice) { delete[] slice; }
+  static ForestSlice ViewOf(const std::uint32_t* slice) {
+    const std::uint32_t size = slice[1];
+    const std::uint32_t* u = slice + 2;
+    return {{u, size}, {u + size, size}, {u + 2 * std::size_t{size}, size},
+            slice[0]};
+  }
 
   /// Atomic pointer array from vertex id to its current slice. Grown (as a
   /// whole) only by AddVertex; individual slots are swapped by updates.
   struct SliceTable {
     explicit SliceTable(std::size_t cap)
         : capacity(cap),
-          slots(std::make_unique<std::atomic<const ForestSlice*>[]>(cap)) {}
+          slots(std::make_unique<std::atomic<const std::uint32_t*>[]>(cap)) {}
     std::size_t capacity;
-    std::unique_ptr<std::atomic<const ForestSlice*>[]> slots;
+    std::unique_ptr<std::atomic<const std::uint32_t*>[]> slots;
   };
 
   /// The queryable state, published through one atomic pointer: a vertex
@@ -187,24 +210,17 @@ class DynamicTsdIndex : public DiversitySearcher {
     return *view_.load(std::memory_order_acquire);
   }
 
-  static const ForestSlice& SliceOf(const ForestView& view, VertexId v) {
-    return *view.table->slots[v].load(std::memory_order_acquire);
+  /// v's slice in `view`, checked against the view's vertex count.
+  static ForestSlice SliceOf(const ForestView& view, VertexId v) {
+    TSD_CHECK(v < view.num_vertices);
+    return SliceAt(view, v);
   }
 
-  // Unpinned query kernels: the public entry points pin once and delegate
-  // here (pipeline workers run inside the caller's pin — the fork/join is
-  // the happens-before bracket).
-  std::uint32_t ScoreIn(const ForestView& view, VertexId v, std::uint32_t k,
-                        IndexQueryScratch& scratch) const;
-  ScoreResult ScoreWithContextsIn(const ForestView& view, VertexId v,
-                                  std::uint32_t k,
-                                  IndexQueryScratch& scratch) const;
-  std::uint32_t ScoreUpperBoundIn(const ForestView& view, VertexId v,
-                                  std::uint32_t k) const;
-  void ScoresForThresholdsIn(const ForestView& view, VertexId v,
-                             std::span<const std::uint32_t> thresholds,
-                             IndexQueryScratch& scratch,
-                             std::uint32_t* scores) const;
+  /// SliceOf without the range check, for the drivers and Freeze(), which
+  /// only visit v < view.num_vertices.
+  static ForestSlice SliceAt(const ForestView& view, VertexId v) {
+    return ViewOf(view.table->slots[v].load(std::memory_order_acquire));
+  }
 
   // Update internals (serialized-updater side).
   void RebuildVertex(VertexId v) TSD_REQUIRES(updater_role_);
@@ -231,6 +247,10 @@ class DynamicTsdIndex : public DiversitySearcher {
   EgoTrussDecomposer maint_decomposer_ TSD_GUARDED_BY(updater_role_);
   std::vector<std::uint32_t> maint_trussness_ TSD_GUARDED_BY(updater_role_);
   DisjointSet maint_dsu_ TSD_GUARDED_BY(updater_role_);
+  // The rebuilt vertex's forest, copied into its exact-size slice buffer.
+  std::vector<std::uint32_t> maint_u_ TSD_GUARDED_BY(updater_role_);
+  std::vector<std::uint32_t> maint_v_ TSD_GUARDED_BY(updater_role_);
+  std::vector<std::uint32_t> maint_w_ TSD_GUARDED_BY(updater_role_);
 };
 
 }  // namespace tsd

@@ -356,24 +356,18 @@ ScoreResult GctIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
     scratch.dsu.Union(se_a_[i], se_b_[i]);
   }
 
-  // Supernode roots map to context slots through a dense root→slot vector
-  // in first-occurrence order; contexts then sort by smallest member, the
-  // same output order as the historical hash-map grouping.
-  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  scratch.slots.assign(n_k, kNoSlot);
+  // Each context gathers its supernodes' members, which are not in global
+  // id order, so members and contexts are sorted afterwards.
   ScoreResult result;
-  for (std::uint32_t i = 0; i < n_k; ++i) {
-    const std::uint32_t root = scratch.dsu.Find(i);
-    if (scratch.slots[root] == kNoSlot) {
-      scratch.slots[root] = static_cast<std::uint32_t>(result.contexts.size());
-      result.contexts.emplace_back();
-    }
-    SocialContext& context = result.contexts[scratch.slots[root]];
-    const auto mem_begin = member_offsets_[sn_begin + i];
-    const auto mem_end = member_offsets_[sn_begin + i + 1];
-    context.insert(context.end(), members_.begin() + mem_begin,
-                   members_.begin() + mem_end);
-  }
+  GroupBySet(
+      scratch.dsu, scratch.slots, &result.contexts,
+      [](std::uint32_t) { return true; },
+      [&](SocialContext& context, std::uint32_t i) {
+        const auto mem_begin = member_offsets_[sn_begin + i];
+        const auto mem_end = member_offsets_[sn_begin + i + 1];
+        context.insert(context.end(), members_.begin() + mem_begin,
+                       members_.begin() + mem_end);
+      });
   result.score = static_cast<std::uint32_t>(result.contexts.size());
   for (SocialContext& context : result.contexts) {
     std::sort(context.begin(), context.end());

@@ -3,34 +3,26 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/disjoint_set.h"
 #include "truss/core_decomposition.h"
 
 namespace tsd {
 namespace {
 
 /// Groups the local vertices with include[i] into components of `dsu` and
-/// converts to sorted global-id contexts.
-///
-/// Roots map to output slots through a dense root→slot vector rather than a
-/// hash map (this is the per-winner hot loop of the context phase). Local
-/// ids ascend and ToGlobal is monotone in the local id, so member lists
-/// come out sorted and contexts appear in order of smallest member with no
-/// sorting.
+/// converts to global-id contexts. Local ids ascend and ToGlobal is monotone
+/// in the local id, so member lists come out sorted and contexts appear in
+/// order of smallest member with no sorting.
 std::vector<SocialContext> MaterializeContexts(
     const EgoNetwork& ego, DisjointSet& dsu, const std::vector<char>& include,
     std::vector<std::uint32_t>& slot_of_root) {
-  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  slot_of_root.assign(ego.num_members(), kNoSlot);
   std::vector<SocialContext> contexts;
-  for (std::uint32_t i = 0; i < ego.num_members(); ++i) {
-    if (!include[i]) continue;
-    const std::uint32_t root = dsu.Find(i);
-    if (slot_of_root[root] == kNoSlot) {
-      slot_of_root[root] = static_cast<std::uint32_t>(contexts.size());
-      contexts.emplace_back();
-    }
-    contexts[slot_of_root[root]].push_back(ego.ToGlobal(i));
-  }
+  GroupBySet(
+      dsu, slot_of_root, &contexts,
+      [&](std::uint32_t i) { return include[i] != 0; },
+      [&](SocialContext& context, std::uint32_t i) {
+        context.push_back(ego.ToGlobal(i));
+      });
   return contexts;
 }
 

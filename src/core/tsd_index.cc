@@ -1,17 +1,13 @@
 #include "core/tsd_index.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/disjoint_set.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
 #include "common/timer.h"
-#include "core/batch_query.h"
 #include "core/max_spanning_forest.h"
-#include "core/query_pipeline.h"
-#include "core/top_r_collector.h"
 
 namespace tsd {
 namespace {
@@ -119,219 +115,17 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   return index;
 }
 
-std::uint32_t TsdIndex::Score(VertexId v, std::uint32_t k,
-                              IndexQueryScratch& scratch) const {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(v < num_vertices());
-  const std::uint64_t begin = offsets_[v];
-  const std::uint64_t end = offsets_[v + 1];
-
-  // Count qualified edges and distinct endpoints; the forest property gives
-  // score = |endpoints| - |edges|.
-  scratch.ids.Begin(num_vertices());
-  std::uint32_t edges = 0;
-  for (std::uint64_t i = begin; i < end && weight_[i] >= k; ++i) {
-    ++edges;
-    scratch.ids.Insert(edge_u_[i]);
-    scratch.ids.Insert(edge_v_[i]);
-  }
-  return scratch.ids.size() - edges;
-}
-
-ScoreResult TsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
-                                        IndexQueryScratch& scratch) const {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(v < num_vertices());
-  const std::uint64_t begin = offsets_[v];
-  const std::uint64_t end = offsets_[v + 1];
-
-  // Map touched global endpoints to dense local ids.
-  scratch.ids.Begin(num_vertices());
-  std::uint64_t qualified_end = begin;
-  for (std::uint64_t i = begin; i < end && weight_[i] >= k; ++i) {
-    scratch.ids.Insert(edge_u_[i]);
-    scratch.ids.Insert(edge_v_[i]);
-    qualified_end = i + 1;
-  }
-  const std::vector<VertexId>& global = scratch.ids.keys();
-
-  scratch.dsu.Reset(global.size());
-  for (std::uint64_t i = begin; i < qualified_end; ++i) {
-    scratch.dsu.Union(scratch.ids.Insert(edge_u_[i]),
-                      scratch.ids.Insert(edge_v_[i]));
-  }
-
-  // Roots map to context slots through a dense root→slot vector in
-  // first-occurrence order; members sorted per context and contexts ordered
-  // by smallest member, exactly as before.
-  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  scratch.slots.assign(global.size(), kNoSlot);
-  ScoreResult result;
-  for (std::uint32_t i = 0; i < global.size(); ++i) {
-    const std::uint32_t root = scratch.dsu.Find(i);
-    if (scratch.slots[root] == kNoSlot) {
-      scratch.slots[root] = static_cast<std::uint32_t>(result.contexts.size());
-      result.contexts.emplace_back();
-    }
-    result.contexts[scratch.slots[root]].push_back(global[i]);
-  }
-  result.score = static_cast<std::uint32_t>(result.contexts.size());
-  for (SocialContext& context : result.contexts) {
-    std::sort(context.begin(), context.end());
-  }
-  std::sort(result.contexts.begin(), result.contexts.end(),
-            [](const SocialContext& a, const SocialContext& b) {
-              return a.front() < b.front();
-            });
-  return result;
-}
-
-void TsdIndex::ScoresForThresholds(VertexId v,
-                                   std::span<const std::uint32_t> thresholds,
-                                   IndexQueryScratch& scratch,
-                                   std::uint32_t* scores) const {
-  TSD_DCHECK(v < num_vertices());
-  const std::uint64_t end = offsets_[v + 1];
-  // Weights are sorted descending, so the qualified prefix only grows as
-  // the threshold drops: one sweep serves every k.
-  scratch.ids.Begin(num_vertices());
-  std::uint64_t i = offsets_[v];
-  std::uint32_t edges = 0;
-  for (std::size_t t = 0; t < thresholds.size(); ++t) {
-    const std::uint32_t k = thresholds[t];
-    TSD_DCHECK(t == 0 || thresholds[t - 1] > k);
-    while (i < end && weight_[i] >= k) {
-      ++edges;
-      scratch.ids.Insert(edge_u_[i]);
-      scratch.ids.Insert(edge_v_[i]);
-      ++i;
-    }
-    scores[t] = scratch.ids.size() - edges;
-  }
-}
-
-std::uint32_t TsdIndex::ScoreUpperBound(VertexId v, std::uint32_t k) const {
-  TSD_DCHECK(k >= 2);
-  TSD_DCHECK(v < num_vertices());
-  const std::uint64_t begin = offsets_[v];
-  const std::uint64_t end = offsets_[v + 1];
-  // Weights are sorted descending: binary search the first weight < k.
-  // std::lower_bound with greater-equal predicate over the reversed notion:
-  auto first = weight_.begin() + begin;
-  auto last = weight_.begin() + end;
-  const auto it = std::partition_point(
-      first, last, [k](std::uint32_t w) { return w >= k; });
-  const auto qualified = static_cast<std::uint32_t>(it - first);
-  // A maximal connected k-truss contributes at least k-1 forest edges.
-  return qualified / (k - 1);
-}
-
 TopRResult TsdIndex::TopR(std::uint32_t r, std::uint32_t k,
                           QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-  const VertexId n = num_vertices();
-
-  // Index-only pipeline: the kernels below read the forest arrays and never
-  // touch an ego-network, so workspaces carry no extractor.
-  QueryPipeline& pipeline = session.IndexPipeline();
-
-  std::vector<std::uint32_t> bounds;
-  {
-    ScopedTimer t(&result.stats.preprocess_seconds);
-    pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-      return ScoreUpperBound(v, k);
-    });
-  }
-
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
-
-  TopRCollector collector(r);
-  {
-    ScopedTimer t(&result.stats.score_seconds);
-    result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [&](QueryWorkspace& ws, VertexId v) {
-          return Score(v, k, ws.index_scratch());
-        });
-  }
-
-  {
-    ScopedTimer t(&result.stats.context_seconds);
-    pipeline.MaterializeEntries(
-        collector.Ranked(), &result.entries,
-        [&](QueryWorkspace& ws, VertexId v) {
-          return ScoreWithContexts(v, k, ws.index_scratch()).contexts;
-        });
-  }
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
+  return ForestTopR(
+      num_vertices(), [this](VertexId v) { return SliceAt(v); }, r, k, session);
 }
 
 std::vector<TopRResult> TsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
-  WallTimer total;
-  std::vector<TopRResult> results(queries.size());
-  if (queries.empty()) return results;
-  SearchStats stats;
-  BatchQueryRunner runner(queries);
-  QueryPipeline& pipeline = session.IndexPipeline();
-
-  // One forest-slice sweep per vertex answers every threshold. When every
-  // query's r is small, most of those sweeps are wasted on vertices that
-  // can never rank, and a single bound order serves the whole batch: the
-  // s̃core bound qualified(k)/(k-1) is non-increasing in k, so the bound at
-  // the smallest requested k dominates every query's score and the shared
-  // ordered scan can stop as soon as every collector can prune. With large
-  // r the scan visits nearly everything anyway and the O(n log n) ordering
-  // would not pay for itself, so the batch falls back to the full range;
-  // entries are bit-identical either way.
-  const VertexId n = num_vertices();
-  const bool ordered = runner.PrefersOrderedScan(n);
-  auto score_fn = [this, &runner](QueryWorkspace& ws, VertexId v,
-                                  std::uint32_t* out) {
-    ScoresForThresholds(v, runner.thresholds(), ws.index_scratch(), out);
-  };
-  std::vector<std::uint32_t> bounds;
-  std::vector<VertexId> order;
-  if (ordered) {
-    ScopedTimer t(&stats.preprocess_seconds);
-    const std::uint32_t k_min = runner.thresholds().back();
-    pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-      return ScoreUpperBound(v, k_min);
-    });
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0U);
-    std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-      return bounds[a] > bounds[b];
-    });
-  }
-  {
-    ScopedTimer t(&stats.score_seconds);
-    stats.vertices_scored =
-        ordered ? runner.ScanOrdered(pipeline, order, bounds, score_fn)
-                : runner.Scan(pipeline, n, score_fn);
-  }
-
-  {
-    ScopedTimer t(&stats.context_seconds);
-    runner.MaterializeGrouped(
-        pipeline, &results, [](QueryWorkspace&, VertexId) {},
-        [this](QueryWorkspace& ws, VertexId v, std::uint32_t k) {
-          return ScoreWithContexts(v, k, ws.index_scratch()).contexts;
-        });
-  }
-
-  stats.threads_used = pipeline.num_threads();
-  stats.total_seconds = total.Seconds();
-  FillBatchStats(&results, stats);
-  return results;
+  return ForestSearchBatch(
+      num_vertices(), [this](VertexId v) { return SliceAt(v); }, queries,
+      session);
 }
 
 std::size_t TsdIndex::SizeBytes() const {
@@ -402,11 +196,15 @@ bool TsdIndex::LoadFromSnapshot(const SnapshotReader& reader, TsdIndex* out,
   if (offsets[0] != 0 || offsets[n] != total) {
     return Fail(error, "offsets do not span the forest arrays");
   }
-  std::uint32_t seen_max_weight = 0;
+  // Monotone offsets from 0 to `total` bound every slice, so the per-slice
+  // loop below stays inside the arrays.
   for (VertexId v = 0; v < n; ++v) {
     if (offsets[v] > offsets[v + 1]) {
       return Fail(error, "offsets not monotone");
     }
+  }
+  std::uint32_t seen_max_weight = 0;
+  for (VertexId v = 0; v < n; ++v) {
     for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       if (edge_u[i] >= n || edge_v[i] >= n) {
         return Fail(error, "forest endpoint out of range");

@@ -8,11 +8,16 @@
 // structural diversity information of every ego-network in O(Σ_v n_v) ⊆
 // O(m) total space (Observations 2 and 3).
 //
-// Queries for any (k, r) run against the index alone:
+// The forests live in flat structure-of-arrays storage (offsets, u, v,
+// weight; the "tsdx.*" snapshot sections bind these arrays directly), and
+// Slice(v) hands out v's forest as a ForestSlice view. Every query runs the
+// shared kernels of core/forest_slice.h, the same code the dynamic index
+// runs over its maintained slices:
 //   score(v)      — count components of the weight-≥k forest prefix.
 //   s̃core(v)     — ⌊(#forest edges of weight ≥ k) / (k-1)⌋, the TSD upper
 //                   bound used for top-r pruning (Section 5.2).
 //   TopR(r, k)    — bound-ordered scan with early termination.
+//   SearchBatch   — one multi-k sweep over every vertex's slice.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +25,10 @@
 #include <span>
 #include <string>
 
+#include "common/check.h"
 #include "common/mmap_file.h"
 #include "common/snapshot.h"
+#include "core/forest_slice.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
 #include "core/scoring.h"
@@ -62,7 +69,9 @@ class TsdIndex : public DiversitySearcher {
   /// The scratch overload is allocation-free in the steady state; the
   /// convenience overload allocates a throwaway scratch per call.
   std::uint32_t Score(VertexId v, std::uint32_t k,
-                      IndexQueryScratch& scratch) const;
+                      IndexQueryScratch& scratch) const {
+    return ForestScore(Slice(v), k, scratch);
+  }
   std::uint32_t Score(VertexId v, std::uint32_t k) const {
     IndexQueryScratch scratch;
     return Score(v, k, scratch);
@@ -70,7 +79,9 @@ class TsdIndex : public DiversitySearcher {
 
   /// Score plus materialized social contexts.
   ScoreResult ScoreWithContexts(VertexId v, std::uint32_t k,
-                                IndexQueryScratch& scratch) const;
+                                IndexQueryScratch& scratch) const {
+    return ForestScoreWithContexts(Slice(v), k, scratch);
+  }
   ScoreResult ScoreWithContexts(VertexId v, std::uint32_t k) const {
     IndexQueryScratch scratch;
     return ScoreWithContexts(v, k, scratch);
@@ -81,10 +92,14 @@ class TsdIndex : public DiversitySearcher {
   void ScoresForThresholds(VertexId v,
                            std::span<const std::uint32_t> thresholds,
                            IndexQueryScratch& scratch,
-                           std::uint32_t* scores) const;
+                           std::uint32_t* scores) const {
+    ForestScoresForThresholds(Slice(v), thresholds, scratch, scores);
+  }
 
   /// The s̃core(v) upper bound (Section 5.2). Always ≥ Score(v, k).
-  std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
+  std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const {
+    return ForestScoreUpperBound(Slice(v), k);
+  }
 
   using DiversitySearcher::SearchBatch;
   using DiversitySearcher::TopR;
@@ -101,7 +116,13 @@ class TsdIndex : public DiversitySearcher {
 
   std::string name() const override { return "TSD"; }
 
-  /// Forest edges stored for v: parallel spans of (u, v, weight).
+  /// v's forest as a view into the flat arrays.
+  ForestSlice Slice(VertexId v) const {
+    TSD_CHECK(v < num_vertices());
+    return SliceAt(v);
+  }
+
+  /// Number of forest edges stored for v.
   std::uint32_t NumForestEdges(VertexId v) const {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
@@ -139,6 +160,16 @@ class TsdIndex : public DiversitySearcher {
 
  private:
   friend class DynamicTsdIndex;
+
+  /// Slice without the range check, for the drivers, which only visit
+  /// v < num_vertices(). Small enough to inline into their loops.
+  ForestSlice SliceAt(VertexId v) const {
+    const std::uint64_t begin = offsets_[v];
+    const std::size_t count = offsets_[v + 1] - begin;
+    return {edge_u_.span().subspan(begin, count),
+            edge_v_.span().subspan(begin, count),
+            weight_.span().subspan(begin, count), num_vertices()};
+  }
 
   // Per-vertex forest edges, flattened; each vertex's slice is sorted by
   // weight descending. Endpoints are global vertex ids.

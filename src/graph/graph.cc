@@ -101,11 +101,15 @@ bool Graph::LoadFromSnapshot(const SnapshotReader& reader, Graph* out,
   if (offsets[0] != 0 || offsets[n] != 2 * m) {
     return Fail(error, "offsets do not span the adjacency");
   }
-  std::uint32_t seen_max_degree = 0;
+  // Monotone offsets from 0 to 2m bound every adjacency slice, so the
+  // per-vertex loop below stays inside the arrays.
   for (VertexId v = 0; v < n; ++v) {
     if (offsets[v] > offsets[v + 1]) {
       return Fail(error, "offsets not monotone");
     }
+  }
+  std::uint32_t seen_max_degree = 0;
+  for (VertexId v = 0; v < n; ++v) {
     const std::uint64_t deg = offsets[v + 1] - offsets[v];
     if (deg > n) return Fail(error, "degree exceeds vertex count");
     seen_max_degree = std::max(seen_max_degree,

@@ -10,28 +10,19 @@
 namespace tsd {
 namespace {
 
-/// Groups vertices by their DSU root, keeping only vertices where
-/// `include[v]` is true. Output components sorted by smallest member.
-///
-/// Roots are mapped to output slots through a dense root→slot vector
-/// instead of a hash map (this runs once per materialized context, hot in
-/// the context phase). Scanning vertices in ascending id order makes every
-/// component's member list come out sorted and assigns slots in order of
-/// each component's smallest member, so no sorting is needed at all.
+/// Groups the vertices with include[v] by their DSU set. Vertices are
+/// visited in ascending id order, so every member list comes out sorted and
+/// components are ordered by smallest member with no sorting.
 std::vector<std::vector<VertexId>> CollectComponents(
     DisjointSet& dsu, const std::vector<char>& include) {
-  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> slot_of_root(include.size(), kNoSlot);
+  std::vector<std::uint32_t> slot_of_root;
   std::vector<std::vector<VertexId>> components;
-  for (VertexId v = 0; v < include.size(); ++v) {
-    if (!include[v]) continue;
-    const std::uint32_t root = dsu.Find(v);
-    if (slot_of_root[root] == kNoSlot) {
-      slot_of_root[root] = static_cast<std::uint32_t>(components.size());
-      components.emplace_back();
-    }
-    components[slot_of_root[root]].push_back(v);
-  }
+  GroupBySet(
+      dsu, slot_of_root, &components,
+      [&](VertexId v) { return include[v] != 0; },
+      [](std::vector<VertexId>& component, VertexId v) {
+        component.push_back(v);
+      });
   return components;
 }
 

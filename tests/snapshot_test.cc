@@ -623,6 +623,59 @@ TEST(SnapshotCorruptionTest, TamperedWeightOrderIsRejected) {
   EXPECT_FALSE(error.empty());
 }
 
+// Checksum-valid files whose first slice's end offset points far past its
+// array while the last offset still spans the array exactly. The validators
+// must reject the offsets before any per-slice loop trusts them.
+TEST(SnapshotCorruptionTest, TsdOffsetsBeyondTheForestAreRejected) {
+  const std::string path = TempPath("tsd_snapshot_test_tsd_offsets.snap");
+  {
+    SnapshotWriter writer(path);
+    const std::vector<std::uint64_t> meta{1, 2, 5};  // schema, n, max weight
+    const std::vector<std::uint64_t> offsets{0, std::uint64_t{1} << 34, 3};
+    const std::vector<VertexId> edge_u{0, 0, 0};
+    const std::vector<VertexId> edge_v{1, 1, 1};
+    const std::vector<std::uint32_t> weight{5, 4, 3};
+    writer.AddScalars(SnapshotTag("tsdx.met"), meta);
+    writer.AddArray<std::uint64_t>(SnapshotTag("tsdx.off"), offsets);
+    writer.AddArray<VertexId>(SnapshotTag("tsdx.edu"), edge_u);
+    writer.AddArray<VertexId>(SnapshotTag("tsdx.edv"), edge_v);
+    writer.AddArray<std::uint32_t>(SnapshotTag("tsdx.wgt"), weight);
+    writer.Finish();
+  }
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(SnapshotReader::Open(path, &reader, &error)) << error;
+  TsdIndex tsd;
+  EXPECT_FALSE(TsdIndex::LoadFromSnapshot(reader, &tsd, &error));
+  EXPECT_NE(error.find("offsets not monotone"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotCorruptionTest, GraphOffsetsBeyondTheAdjacencyAreRejected) {
+  const std::string path = TempPath("tsd_snapshot_test_graph_offsets.snap");
+  {
+    SnapshotWriter writer(path);
+    const std::vector<std::uint64_t> meta{1, 3, 1};  // schema, n, max degree
+    const std::vector<std::uint64_t> offsets{0, 3, 2, 2};
+    const std::vector<VertexId> adj{1, 0};
+    const std::vector<EdgeId> adj_edge_ids{0, 0};
+    const std::vector<Edge> edges{Edge{0, 1}};
+    writer.AddScalars(SnapshotTag("graf.met"), meta);
+    writer.AddArray<std::uint64_t>(SnapshotTag("graf.off"), offsets);
+    writer.AddArray<VertexId>(SnapshotTag("graf.adj"), adj);
+    writer.AddArray<EdgeId>(SnapshotTag("graf.eid"), adj_edge_ids);
+    writer.AddArray<Edge>(SnapshotTag("graf.edg"), edges);
+    writer.Finish();
+  }
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(SnapshotReader::Open(path, &reader, &error)) << error;
+  Graph graph;
+  EXPECT_FALSE(Graph::LoadFromSnapshot(reader, &graph, &error));
+  EXPECT_NE(error.find("offsets not monotone"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotCorruptionTest, SingleByteFlipFuzzNeverCrashes) {
   // Flip one byte at a stride of positions across the whole file. Every
   // outcome must be clean: either the container/object validation rejects
