@@ -15,6 +15,12 @@
 //      traffic pays for running against a live index instead of a frozen
 //      one.
 //
+// Before those, a cost table prints the dynamic index's construction next
+// to TsdIndex::Build on the same graph (both run one thread through the
+// same per-vertex forest builder), and the remove+insert latency of one
+// edge at the maximum-degree vertex — the update that rebuilds the largest
+// ego and every common neighbour's.
+//
 // Epoch-reclamation counters (retired/freed/stalled advances) are printed
 // so regressions in the reclamation pipeline show up as unbounded limbo
 // growth, not just as a latency number.
@@ -32,6 +38,7 @@
 #include "core/dynamic_tsd_index.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
+#include "core/tsd_index.h"
 #include "server/live_index.h"
 
 namespace {
@@ -83,6 +90,44 @@ int Run(int argc, char** argv) {
   std::cout << dataset << ": |V|=" << WithThousands(n)
             << " |E|=" << WithThousands(g.num_edges()) << "  updates/phase="
             << updates << "  readers=" << readers << "\n\n";
+
+  {
+    constexpr std::uint32_t kReps = 3;
+    std::vector<double> dynamic_build;
+    std::vector<double> static_build;
+    std::vector<double> hub_toggle;
+    VertexId hub = 0;
+    for (VertexId v = 1; v < n; ++v) {
+      if (g.degree(v) > g.degree(hub)) hub = v;
+    }
+    for (std::uint32_t rep = 0; rep < kReps; ++rep) {
+      WallTimer timer;
+      DynamicTsdIndex index(g);
+      dynamic_build.push_back(timer.Seconds());
+      timer.Reset();
+      const TsdIndex built = TsdIndex::Build(g);
+      static_build.push_back(timer.Seconds());
+      if (g.degree(hub) == 0) continue;
+      const VertexId other = g.neighbors(hub).front();
+      timer.Reset();
+      index.RemoveEdge(hub, other);
+      index.InsertEdge(hub, other);
+      hub_toggle.push_back(timer.Seconds());
+    }
+    const auto median = [](std::vector<double> values) {
+      if (values.empty()) return 0.0;
+      std::sort(values.begin(), values.end());
+      return values[values.size() / 2];
+    };
+    TablePrinter costs({"cost (median of " + std::to_string(kReps) + ")",
+                        "time"});
+    costs.Row("build: DynamicTsdIndex", HumanSeconds(median(dynamic_build)));
+    costs.Row("build: TsdIndex::Build", HumanSeconds(median(static_build)));
+    costs.Row("hub toggle (degree " + std::to_string(g.degree(hub)) + ")",
+              HumanSeconds(median(hub_toggle)));
+    costs.Print(std::cout);
+    std::cout << "\n";
+  }
 
   TablePrinter table({"phase", "applied", "updates/s", "reader qps"});
 

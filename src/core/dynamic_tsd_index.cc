@@ -3,36 +3,46 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "core/max_spanning_forest.h"
 
 namespace tsd {
 
 const std::uint32_t* DynamicTsdIndex::NewSlice(
-    VertexId universe, std::span<const VertexId> u,
-    std::span<const VertexId> v, std::span<const std::uint32_t> weight) {
-  const std::size_t size = weight.size();
+    VertexId universe, const EgoNetwork& ego,
+    const internal::VertexForestScratch& forest) {
+  const std::size_t size = forest.forest.size();
   auto* slice = new std::uint32_t[2 + 3 * size];
   slice[0] = universe;
   slice[1] = static_cast<std::uint32_t>(size);
-  std::uint32_t* out = std::copy(u.begin(), u.end(), slice + 2);
-  out = std::copy(v.begin(), v.end(), out);
-  std::copy(weight.begin(), weight.end(), out);
+  std::uint32_t* u = slice + 2;
+  std::uint32_t* v = u + size;
+  std::uint32_t* weight = v + size;
+  for (std::size_t i = 0; i < size; ++i) {
+    const EdgeId e = forest.forest[i];
+    u[i] = ego.ToGlobal(ego.edges[e].u);
+    v[i] = ego.ToGlobal(ego.edges[e].v);
+    weight[i] = forest.trussness[e];
+  }
   return slice;
 }
 
 DynamicTsdIndex::DynamicTsdIndex(const Graph& initial, EgoTrussMethod method)
-    : graph_(initial), method_(method), maint_decomposer_(method) {
+    : graph_(initial), extractor_(graph_), forest_(method) {
   // Construction is single-threaded: this thread is trivially the
   // serialized updater, and no reader can hold a pin yet.
   updater_role_.Assert();
   const VertexId n = graph_.num_vertices();
   auto* table = new SliceTable(std::max<std::size_t>(n, 1));
-  view_.store(new ForestView{n, table}, std::memory_order_release);
+  // TsdIndex::Build's vertex loop over the CSR input, each forest laid
+  // straight into its exact-size slice. Construction is not a rebuild, so
+  // rebuild_count() stays 0.
+  EgoNetworkExtractor extractor(initial);
   for (VertexId v = 0; v < n; ++v) {
-    RebuildVertex(v);
+    extractor.ExtractInto(v, &ego_);
+    internal::BuildVertexForest(ego_, forest_);
+    table->slots[v].store(NewSlice(n, ego_, forest_),
+                          std::memory_order_relaxed);
   }
-  rebuild_count_.store(0, std::memory_order_relaxed);  // construction does
-                                                       // not count
+  view_.store(new ForestView{n, table}, std::memory_order_release);
 }
 
 DynamicTsdIndex::~DynamicTsdIndex() {
@@ -47,47 +57,11 @@ DynamicTsdIndex::~DynamicTsdIndex() {
   delete view;
 }
 
-void DynamicTsdIndex::ExtractEgo(VertexId center, EgoNetwork* out) const {
-  out->center = center;
-  const auto nbrs = graph_.neighbors(center);
-  out->members.assign(nbrs.begin(), nbrs.end());
-  out->edges.clear();
-  out->offsets.clear();
-  out->adj.clear();
-  out->adj_edge_ids.clear();
-  // Members are few; a per-call sorted lookup is fine for maintenance work.
-  for (std::uint32_t i = 0; i < out->members.size(); ++i) {
-    const VertexId u = out->members[i];
-    for (VertexId w : graph_.neighbors(u)) {
-      if (w <= u) continue;
-      const std::uint32_t j = out->ToLocal(w);
-      if (j != kInvalidVertex) out->edges.push_back(Edge{i, j});
-    }
-  }
-  std::sort(out->edges.begin(), out->edges.end());
-}
-
 void DynamicTsdIndex::RebuildVertex(VertexId v) {
   rebuild_count_.fetch_add(1, std::memory_order_relaxed);
-  ExtractEgo(v, &maint_ego_);
-  maint_decomposer_.ComputeInto(maint_ego_, &maint_trussness_);
-
-  // A forest has fewer edges than the ego has members, so reserving that
-  // many up front keeps the scratch from regrowing mid-forest.
-  for (std::vector<std::uint32_t>* scratch :
-       {&maint_u_, &maint_v_, &maint_w_}) {
-    scratch->clear();
-    scratch->reserve(maint_ego_.num_members());
-  }
-  internal::MaximumSpanningForest(
-      maint_ego_, maint_trussness_, maint_dsu_,
-      [&](VertexId gu, VertexId gv, std::uint32_t w) {
-        maint_u_.push_back(gu);
-        maint_v_.push_back(gv);
-        maint_w_.push_back(w);
-      });
-  const std::uint32_t* slice =
-      NewSlice(graph_.num_vertices(), maint_u_, maint_v_, maint_w_);
+  extractor_.ExtractInto(v, &ego_);
+  internal::BuildVertexForest(ego_, forest_);
+  const std::uint32_t* slice = NewSlice(graph_.num_vertices(), ego_, forest_);
 
   // Publish the fresh slice; the displaced one stays readable until its
   // grace period passes. Serialized with all other writer-side calls by the
@@ -146,9 +120,10 @@ VertexId DynamicTsdIndex::AddVertex() {
   epochs_.AssertWriter();
   const VertexId v = graph_.AddVertex();
   const VertexId n = graph_.num_vertices();
+  extractor_.Rebind(graph_);  // grows the mark array over the new id
   ForestView* old_view = view_.load(std::memory_order_relaxed);
 
-  const std::uint32_t* slice = NewSlice(n, {}, {}, {});  // empty forest
+  const std::uint32_t* slice = new std::uint32_t[2]{n, 0};  // empty forest
 
   SliceTable* table = old_view->table;
   if (table->capacity < n) {
@@ -205,11 +180,9 @@ TsdIndex DynamicTsdIndex::Freeze() const {
     edge_u.insert(edge_u.end(), slice.u.begin(), slice.u.end());
     edge_v.insert(edge_v.end(), slice.v.begin(), slice.v.end());
     weight.insert(weight.end(), slice.weight.begin(), slice.weight.end());
-    if (!slice.weight.empty()) {
-      index.max_weight_ = std::max(index.max_weight_, slice.weight.front());
-    }
     offsets[v + 1] = edge_u.size();
   }
+  if (!weight.empty()) index.max_weight_ = std::ranges::max(weight);
   index.offsets_ = std::move(offsets);
   index.edge_u_ = std::move(edge_u);
   index.edge_v_ = std::move(edge_v);

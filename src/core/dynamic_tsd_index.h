@@ -13,6 +13,11 @@
 // untouched. Property tests verify equality with a from-scratch rebuild
 // after every update.
 //
+// Construction and rebuilds run TsdIndex::Build's per-vertex step — the
+// shared ego extractor (over the CSR input at construction, the DynamicGraph
+// after) and internal::BuildVertexForest — and copy each forest straight
+// into its exact-size slice; no flat TsdIndex is staged.
+//
 // Queries run the shared kernels and drivers of core/forest_slice.h — the
 // same code TsdIndex runs — over ForestSlice views of the published slices,
 // all read through the one view the query's epoch pin covers.
@@ -36,7 +41,7 @@
 //    subsequent query is bit-identical to a from-scratch rebuild of the
 //    current graph — the differential property the live-update harness
 //    asserts after every epoch.
-//  * graph(), rebuild_count(), Freeze() and epoch_stats() are
+//  * graph(), Slice(), rebuild_count(), Freeze() and epoch_stats() are
 //    updater-quiescent accessors: call them from the updater, or while no
 //    update is in flight.
 #pragma once
@@ -48,7 +53,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/disjoint_set.h"
 #include "common/epoch.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -59,6 +63,7 @@
 #include "core/tsd_index.h"
 #include "core/types.h"
 #include "graph/dynamic_graph.h"
+#include "graph/ego_network.h"
 #include "truss/ego_truss.h"
 
 namespace tsd {
@@ -153,6 +158,10 @@ class DynamicTsdIndex : public DiversitySearcher {
     return graph_;
   }
 
+  /// Updater-quiescent accessor: v's current forest, valid until the next
+  /// update. Checks v < n.
+  ForestSlice Slice(VertexId v) const { return SliceOf(CurrentView(), v); }
+
   /// Number of per-vertex forest rebuilds performed so far (updates only;
   /// excludes initial construction). One rebuild per affected vertex.
   std::uint64_t rebuild_count() const {
@@ -175,10 +184,9 @@ class DynamicTsdIndex : public DiversitySearcher {
   /// vertex count, because a reader holding an older view can legitimately
   /// observe a newer slice whose endpoints exceed the old view's range
   /// (slices and the view are published independently).
-  static const std::uint32_t* NewSlice(VertexId universe,
-                                       std::span<const VertexId> u,
-                                       std::span<const VertexId> v,
-                                       std::span<const std::uint32_t> weight);
+  static const std::uint32_t* NewSlice(
+      VertexId universe, const EgoNetwork& ego,
+      const internal::VertexForestScratch& forest);
   static void DeleteSlice(const std::uint32_t* slice) { delete[] slice; }
   static ForestSlice ViewOf(const std::uint32_t* slice) {
     const std::uint32_t size = slice[1];
@@ -224,8 +232,6 @@ class DynamicTsdIndex : public DiversitySearcher {
 
   // Update internals (serialized-updater side).
   void RebuildVertex(VertexId v) TSD_REQUIRES(updater_role_);
-  void ExtractEgo(VertexId center, EgoNetwork* out) const
-      TSD_REQUIRES(updater_role_);
 
   /// The serialized-updater capability (see the header contract): public
   /// update entry points claim it on behalf of their externally serialized
@@ -233,7 +239,6 @@ class DynamicTsdIndex : public DiversitySearcher {
   ThreadRole updater_role_;
 
   DynamicGraph graph_ TSD_GUARDED_BY(updater_role_);
-  const EgoTrussMethod method_;
 
   /// Reclamation authority over retired slices/tables/views. Mutable: the
   /// const query paths pin and unpin reader epochs.
@@ -241,16 +246,11 @@ class DynamicTsdIndex : public DiversitySearcher {
   std::atomic<ForestView*> view_{nullptr};
   std::atomic<std::uint64_t> rebuild_count_{0};
 
-  // Maintenance scratch, reused across every RebuildVertex call so the
-  // update path performs no per-vertex ego/decomposer construction.
-  EgoNetwork maint_ego_ TSD_GUARDED_BY(updater_role_);
-  EgoTrussDecomposer maint_decomposer_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_trussness_ TSD_GUARDED_BY(updater_role_);
-  DisjointSet maint_dsu_ TSD_GUARDED_BY(updater_role_);
-  // The rebuilt vertex's forest, copied into its exact-size slice buffer.
-  std::vector<std::uint32_t> maint_u_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_v_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_w_ TSD_GUARDED_BY(updater_role_);
+  // Per-vertex forest scratch, shared with TsdIndex::Build's loop and
+  // reused by construction and every RebuildVertex call.
+  DynamicEgoNetworkExtractor extractor_ TSD_GUARDED_BY(updater_role_);
+  EgoNetwork ego_ TSD_GUARDED_BY(updater_role_);
+  internal::VertexForestScratch forest_ TSD_GUARDED_BY(updater_role_);
 };
 
 }  // namespace tsd

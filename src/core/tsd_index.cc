@@ -3,11 +3,9 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/disjoint_set.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
 #include "common/timer.h"
-#include "core/max_spanning_forest.h"
 
 namespace tsd {
 namespace {
@@ -34,13 +32,54 @@ struct TsdChunk {
   std::vector<VertexId> edge_v;
   std::vector<std::uint32_t> weight;
   std::vector<std::uint32_t> per_vertex_count;
-  std::uint32_t max_weight = 0;
   double extraction_seconds = 0;
   double decomposition_seconds = 0;
   double assembly_seconds = 0;
 };
 
 }  // namespace
+
+namespace internal {
+
+void BuildVertexForest(EgoNetwork& ego, VertexForestScratch& scratch) {
+  {
+    ScopedTimer t(&scratch.decomposition_seconds);
+    scratch.decomposer.ComputeInto(ego, &scratch.trussness);
+  }
+  ScopedTimer t(&scratch.assembly_seconds);
+  const std::vector<std::uint32_t>& trussness = scratch.trussness;
+  scratch.forest.clear();
+  if (ego.num_edges() == 0) return;
+
+  // Counting sort of the edge ids by weight, descending: cursor[w] starts at
+  // the number of edges heavier than w.
+  std::uint32_t max_w = 0;
+  for (std::uint32_t w : trussness) max_w = std::max(max_w, w);
+  std::vector<std::uint32_t>& cursor = scratch.cursor;
+  cursor.assign(std::size_t{max_w} + 1, 0);
+  for (std::uint32_t w : trussness) ++cursor[w];
+  std::uint32_t heavier = 0;
+  for (std::uint32_t w = max_w + 1; w-- > 0;) {
+    const std::uint32_t count = cursor[w];
+    cursor[w] = heavier;
+    heavier += count;
+  }
+  scratch.by_weight.resize(ego.num_edges());
+  for (EdgeId e = 0; e < ego.num_edges(); ++e) {
+    scratch.by_weight[cursor[trussness[e]]++] = e;
+  }
+
+  // Kruskal; a forest that spans every member has no edge left to take.
+  scratch.dsu.Reset(ego.num_members());
+  for (const EdgeId e : scratch.by_weight) {
+    if (scratch.dsu.Union(ego.edges[e].u, ego.edges[e].v)) {
+      scratch.forest.push_back(e);
+      if (scratch.forest.size() + 1 == ego.num_members()) break;
+    }
+  }
+}
+
+}  // namespace internal
 
 TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   TSD_CHECK(options.num_threads >= 1);
@@ -62,32 +101,24 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
         TsdChunk& chunk = chunks[c];
         chunk.per_vertex_count.reserve(end - begin);
         EgoNetworkExtractor extractor(graph);
-        EgoTrussDecomposer decomposer(options.method);
+        internal::VertexForestScratch forest(options.method);
         EgoNetwork ego;
-        DisjointSet dsu;
         for (std::uint64_t v = begin; v < end; ++v) {
           {
             ScopedTimer t(&chunk.extraction_seconds);
             extractor.ExtractInto(static_cast<VertexId>(v), &ego);
           }
-          std::vector<std::uint32_t> trussness;
-          {
-            ScopedTimer t(&chunk.decomposition_seconds);
-            trussness = decomposer.Compute(ego);
+          internal::BuildVertexForest(ego, forest);
+          for (const EdgeId e : forest.forest) {
+            chunk.edge_u.push_back(ego.ToGlobal(ego.edges[e].u));
+            chunk.edge_v.push_back(ego.ToGlobal(ego.edges[e].v));
+            chunk.weight.push_back(forest.trussness[e]);
           }
-          ScopedTimer t(&chunk.assembly_seconds);
-          const std::size_t before = chunk.edge_u.size();
-          internal::MaximumSpanningForest(
-              ego, trussness, dsu,
-              [&](VertexId gu, VertexId gv, std::uint32_t w) {
-                chunk.edge_u.push_back(gu);
-                chunk.edge_v.push_back(gv);
-                chunk.weight.push_back(w);
-                chunk.max_weight = std::max(chunk.max_weight, w);
-              });
           chunk.per_vertex_count.push_back(
-              static_cast<std::uint32_t>(chunk.edge_u.size() - before));
+              static_cast<std::uint32_t>(forest.forest.size()));
         }
+        chunk.decomposition_seconds = forest.decomposition_seconds;
+        chunk.assembly_seconds = forest.assembly_seconds;
       });
 
   // Merge chunks in order (chunk c covers a contiguous ascending vertex
@@ -101,12 +132,12 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
     edge_u.insert(edge_u.end(), chunk.edge_u.begin(), chunk.edge_u.end());
     edge_v.insert(edge_v.end(), chunk.edge_v.begin(), chunk.edge_v.end());
     weight.insert(weight.end(), chunk.weight.begin(), chunk.weight.end());
-    index.max_weight_ = std::max(index.max_weight_, chunk.max_weight);
     index.build_stats_.extraction_seconds += chunk.extraction_seconds;
     index.build_stats_.decomposition_seconds += chunk.decomposition_seconds;
     index.build_stats_.assembly_seconds += chunk.assembly_seconds;
   }
   TSD_CHECK(v == n);
+  if (!weight.empty()) index.max_weight_ = std::ranges::max(weight);
   index.offsets_ = std::move(offsets);
   index.edge_u_ = std::move(edge_u);
   index.edge_v_ = std::move(edge_v);

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/disjoint_set.h"
 #include "common/mmap_file.h"
 #include "common/snapshot.h"
 #include "core/forest_slice.h"
@@ -45,6 +46,33 @@ struct IndexBuildStats {
   double assembly_seconds = 0;       // forest / supernode assembly
   double total_seconds = 0;
 };
+
+namespace internal {
+
+/// Reusable per-worker scratch of BuildVertexForest, and its output.
+struct VertexForestScratch {
+  explicit VertexForestScratch(EgoTrussMethod method) : decomposer(method) {}
+
+  EgoTrussDecomposer decomposer;
+  std::vector<std::uint32_t> trussness;  // per ego edge: its weight
+  std::vector<std::uint32_t> cursor;     // counting-sort cursor per weight
+  std::vector<EdgeId> by_weight;         // ego edge ids, weight descending
+  DisjointSet dsu;
+  /// The forest: ego edge ids in non-increasing trussness order.
+  std::vector<EdgeId> forest;
+  /// Time spent in the decomposition and in the forest, summed over calls.
+  double decomposition_seconds = 0;
+  double assembly_seconds = 0;
+};
+
+/// Algorithm 5's per-vertex step, shared by TsdIndex::Build and the dynamic
+/// index: decomposes `ego` and leaves its maximum spanning forest under the
+/// trussness weights in `scratch.forest`. Kruskal with a counting sort on
+/// the (small integer) weights, so one ego-network costs O(m_v + max_w)
+/// beyond the decomposition, and a warm call allocates nothing.
+void BuildVertexForest(EgoNetwork& ego, VertexForestScratch& scratch);
+
+}  // namespace internal
 
 class TsdIndex : public DiversitySearcher {
  public:

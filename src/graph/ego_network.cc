@@ -50,10 +50,12 @@ void EgoNetwork::BuildCsr() {
   BuildLocalCsr(num_members(), edges, &offsets, &adj, &adj_edge_ids);
 }
 
-EgoNetworkExtractor::EgoNetworkExtractor(const Graph& graph)
+template <typename GraphT>
+BasicEgoNetworkExtractor<GraphT>::BasicEgoNetworkExtractor(const GraphT& graph)
     : graph_(&graph), local_id_(graph.num_vertices(), 0) {}
 
-void EgoNetworkExtractor::Rebind(const Graph& graph) {
+template <typename GraphT>
+void BasicEgoNetworkExtractor<GraphT>::Rebind(const GraphT& graph) {
   graph_ = &graph;
   // Invariant: local_id_ is all zeros between calls, so growing with zeros
   // keeps it valid; a smaller graph simply leaves the tail unused.
@@ -62,13 +64,16 @@ void EgoNetworkExtractor::Rebind(const Graph& graph) {
   }
 }
 
-EgoNetwork EgoNetworkExtractor::Extract(VertexId v) {
+template <typename GraphT>
+EgoNetwork BasicEgoNetworkExtractor<GraphT>::Extract(VertexId v) {
   EgoNetwork out;
   ExtractInto(v, &out);
   return out;
 }
 
-void EgoNetworkExtractor::ExtractInto(VertexId v, EgoNetwork* out) {
+template <typename GraphT>
+void BasicEgoNetworkExtractor<GraphT>::ExtractInto(VertexId v,
+                                                   EgoNetwork* out) {
   TSD_DCHECK(v < graph_->num_vertices());
   out->center = v;
   out->members.assign(graph_->neighbors(v).begin(),
@@ -98,6 +103,9 @@ void EgoNetworkExtractor::ExtractInto(VertexId v, EgoNetwork* out) {
   // so edges come out sorted by (local u, local v) already.
   for (VertexId member : out->members) local_id_[member] = 0;
 }
+
+template class BasicEgoNetworkExtractor<Graph>;
+template class BasicEgoNetworkExtractor<DynamicGraph>;
 
 namespace {
 

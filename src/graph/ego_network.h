@@ -3,10 +3,11 @@
 // The ego-network G_N(v) is the subgraph induced by v's neighbors, with v
 // itself excluded. Two extraction strategies are implemented:
 //
-//  * EgoNetworkExtractor — per-vertex extraction by marking N(v) and
-//    scanning each member's adjacency (used by the online algorithms and
-//    TSD-index construction; each triangle at v is touched independently per
-//    center).
+//  * BasicEgoNetworkExtractor — the one per-vertex extraction loop: mark
+//    N(v), scan each member's adjacency. EgoNetworkExtractor (over the CSR
+//    Graph) serves the query pipeline and the TSD, GCT and dynamic index
+//    builds; DynamicEgoNetworkExtractor serves the dynamic TSD index's
+//    per-update rebuilds over its DynamicGraph.
 //  * GlobalEgoNetworks — the Section 6.2 optimization: one global triangle
 //    listing pass distributes every triangle (u,v,w) to the three
 //    ego-networks it belongs to, so each triangle is enumerated 3 times
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 
 namespace tsd {
@@ -69,16 +71,20 @@ struct EgoNetwork {
   }
 };
 
-/// Per-vertex ego-network extraction with reusable scratch buffers.
-/// Not thread-safe; create one extractor per thread.
-class EgoNetworkExtractor {
+/// Per-vertex ego-network extraction with reusable scratch buffers, over
+/// any graph type whose neighbors(v) are sorted ascending (Graph and
+/// DynamicGraph; both are instantiated in ego_network.cc). Not thread-safe;
+/// create one extractor per thread.
+template <typename GraphT>
+class BasicEgoNetworkExtractor {
  public:
-  explicit EgoNetworkExtractor(const Graph& graph);
+  explicit BasicEgoNetworkExtractor(const GraphT& graph);
 
   /// Retargets the extractor to another graph, reusing the scratch buffers
   /// (only grown, never shrunk). Lets a per-query reduced graph — e.g. the
-  /// Algorithm 4 sparsified subgraph — run on a persistent workspace.
-  void Rebind(const Graph& graph);
+  /// Algorithm 4 sparsified subgraph — run on a persistent workspace, and
+  /// re-binding the same DynamicGraph after it grew covers the new ids.
+  void Rebind(const GraphT& graph);
 
   /// Extracts G_N(v). Includes isolated members (neighbors of v with no
   /// edges inside the ego-network).
@@ -87,12 +93,18 @@ class EgoNetworkExtractor {
   /// Extraction reusing the caller's EgoNetwork storage.
   void ExtractInto(VertexId v, EgoNetwork* out);
 
-  const Graph& graph() const { return *graph_; }
+  const GraphT& graph() const { return *graph_; }
 
  private:
-  const Graph* graph_;
+  const GraphT* graph_;
   std::vector<std::uint32_t> local_id_;  // scratch: global -> local + 1, 0 = absent
 };
+
+using EgoNetworkExtractor = BasicEgoNetworkExtractor<Graph>;
+using DynamicEgoNetworkExtractor = BasicEgoNetworkExtractor<DynamicGraph>;
+
+extern template class BasicEgoNetworkExtractor<Graph>;
+extern template class BasicEgoNetworkExtractor<DynamicGraph>;
 
 /// One-shot global ego-network extraction (Algorithm 7, lines 1–4).
 ///

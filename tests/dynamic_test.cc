@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dynamic_tsd_index.h"
@@ -191,6 +196,88 @@ TEST(DynamicTsdIndexTest, AddVertexThenConnect) {
   for (VertexId x = 1; x <= 4; ++x) dynamic.InsertEdge(nv, x);
   ExpectMatchesFreshBuild(dynamic);
   EXPECT_EQ(dynamic.Score(nv, 4), 1u);
+}
+
+// The dynamic index's slices against TsdIndex::Build's: the same forest
+// edges in the same order. `check_universe` is off after AddVertex, which
+// leaves slices built earlier with the smaller vertex count they saw.
+void ExpectSlicesMatch(const DynamicTsdIndex& dynamic, const TsdIndex& fresh,
+                       bool check_universe) {
+  ASSERT_EQ(dynamic.graph().num_vertices(), fresh.num_vertices());
+  for (VertexId v = 0; v < fresh.num_vertices(); ++v) {
+    const ForestSlice actual = dynamic.Slice(v);
+    const ForestSlice expected = fresh.Slice(v);
+    ASSERT_TRUE(std::ranges::equal(actual.u, expected.u)) << "v=" << v;
+    ASSERT_TRUE(std::ranges::equal(actual.v, expected.v)) << "v=" << v;
+    ASSERT_TRUE(std::ranges::equal(actual.weight, expected.weight))
+        << "v=" << v;
+    if (check_universe) {
+      ASSERT_EQ(actual.universe, expected.universe) << "v=" << v;
+    }
+  }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(DynamicTsdIndexTest, FreshSlicesEqualStaticBuild) {
+  for (const Graph& g : {PaperFigure1Graph(), HolmeKim(300, 6, 0.6, 41)}) {
+    const TsdIndex fresh = TsdIndex::Build(g);
+    for (const EgoTrussMethod method :
+         {EgoTrussMethod::kHash, EgoTrussMethod::kBitmap}) {
+      const DynamicTsdIndex dynamic(g, method);
+      ExpectSlicesMatch(dynamic, fresh, /*check_universe=*/true);
+      EXPECT_EQ(dynamic.rebuild_count(), 0u);
+    }
+  }
+}
+
+TEST(DynamicTsdIndexTest, FreezeSavesTheStaticBuildsBytes) {
+  const Graph g = HolmeKim(300, 6, 0.6, 43);
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string frozen_path = (dir / "tsd_dynamic_test_frozen.snap").string();
+  const std::string built_path = (dir / "tsd_dynamic_test_built.snap").string();
+  DynamicTsdIndex(g).Freeze().Save(frozen_path);
+  TsdIndex::Build(g).Save(built_path);
+  const std::string frozen = ReadFileBytes(frozen_path);
+  EXPECT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, ReadFileBytes(built_path));
+  std::filesystem::remove(frozen_path);
+  std::filesystem::remove(built_path);
+}
+
+TEST(DynamicTsdIndexTest, SlicesEqualStaticBuildAfterUpdateStream) {
+  const Graph g = HolmeKim(200, 5, 0.6, 47);
+  DynamicTsdIndex dynamic(g);
+  Rng rng(53);
+  const auto toggle = [&](VertexId n) {
+    const auto u = static_cast<VertexId>(rng.Uniform(n));
+    const auto v = static_cast<VertexId>(rng.Uniform(n));
+    if (u == v) return;
+    if (dynamic.graph().HasEdge(u, v)) {
+      EXPECT_TRUE(dynamic.RemoveEdge(u, v));
+    } else {
+      EXPECT_TRUE(dynamic.InsertEdge(u, v));
+    }
+  };
+  for (int step = 0; step < 150; ++step) toggle(200);
+  const VertexId added = dynamic.AddVertex();
+  ASSERT_EQ(added, 200u);
+  // Give the new vertex an ego worth a forest: a neighbour and its
+  // neighbourhood.
+  const VertexId hub = 0;
+  ASSERT_TRUE(dynamic.InsertEdge(added, hub));
+  for (const VertexId w : std::vector<VertexId>(
+           dynamic.graph().neighbors(hub).begin(),
+           dynamic.graph().neighbors(hub).begin() + 4)) {
+    if (w != added) dynamic.InsertEdge(added, w);
+  }
+  for (int step = 0; step < 150; ++step) toggle(201);
+  ASSERT_GT(dynamic.Slice(added).weight.size(), 0u);
+  ExpectSlicesMatch(dynamic, TsdIndex::Build(dynamic.graph().ToGraph()),
+                    /*check_universe=*/false);
 }
 
 // ------------------------------------------------------------ Parallel

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
+#include "graph/dynamic_graph.h"
 #include "graph/ego_network.h"
 #include "graph/generators.h"
 #include "reference_impls.h"
@@ -68,6 +70,42 @@ TEST(EgoNetworkTest, CsrDegreesMatchEdgeList) {
     const auto nbrs = ego.LocalNeighbors(i);
     EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
   }
+}
+
+TEST(EgoNetworkTest, DynamicGraphExtractionMatchesItsCsrSnapshot) {
+  const Graph initial = HolmeKim(150, 5, 0.6, 61);
+  DynamicGraph dynamic(initial);
+  DynamicEgoNetworkExtractor dynamic_extractor(dynamic);
+  Rng rng(67);
+  const auto toggle = [&] {
+    const auto u = static_cast<VertexId>(rng.Uniform(dynamic.num_vertices()));
+    const auto v = static_cast<VertexId>(rng.Uniform(dynamic.num_vertices()));
+    if (dynamic.HasEdge(u, v)) {
+      dynamic.RemoveEdge(u, v);
+    } else {
+      dynamic.InsertEdge(u, v);
+    }
+  };
+  for (int step = 0; step < 200; ++step) toggle();
+  // A vertex beyond the initial n: the extractor's mark array must cover it
+  // once re-bound.
+  const VertexId added = dynamic.AddVertex();
+  ASSERT_GE(added, initial.num_vertices());
+  dynamic_extractor.Rebind(dynamic);
+  for (VertexId w = 0; w < 12; ++w) dynamic.InsertEdge(added, w * 3);
+  for (int step = 0; step < 200; ++step) toggle();
+
+  const Graph snapshot = dynamic.ToGraph();
+  EgoNetworkExtractor csr_extractor(snapshot);
+  EgoNetwork from_dynamic;
+  for (VertexId v = 0; v < snapshot.num_vertices(); ++v) {
+    dynamic_extractor.ExtractInto(v, &from_dynamic);
+    const EgoNetwork from_csr = csr_extractor.Extract(v);
+    ASSERT_EQ(from_dynamic.center, from_csr.center);
+    ASSERT_EQ(from_dynamic.members, from_csr.members) << "vertex " << v;
+    ASSERT_EQ(from_dynamic.edges, from_csr.edges) << "vertex " << v;
+  }
+  EXPECT_GT(csr_extractor.Extract(added).num_edges(), 0u);
 }
 
 TEST(EgoNetworkTest, GlobalOneShotMatchesPerVertexExtraction) {
