@@ -32,12 +32,9 @@ enum class TrussPlanAlgorithm : std::uint8_t {
   kAuto = 0,
   /// Frontier-parallel bulk-synchronous peel — the reference plan.
   kBsp,
-  /// Separated edge-removal rounds: supports of touched edges are
-  /// recomputed against a frozen frontier, then committed.
-  kBspJacobi,
   /// k-core prefilter first; edges whose Burkhardt core-number bound can
-  /// never reach the requested trussness are pruned before any triangle
-  /// counting.
+  /// never reach the floor-truss kernel's floor are pruned before any
+  /// triangle counting.
   kCoreThenTruss,
 };
 
@@ -53,8 +50,8 @@ struct ParallelConfig {
   /// sequential, 8 per thread otherwise, matching the index builders and
   /// the query pipeline).
   std::uint32_t num_chunks = 0;
-  /// Which truss-decomposition kernel the preprocessing stages should run
-  /// (every plan is bit-identical on trussness; this is a performance knob).
+  /// Which truss plan the preprocessing stages should run (every plan is
+  /// bit-identical on trussness; this is a performance knob).
   TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
 
   bool operator==(const ParallelConfig&) const = default;

@@ -239,6 +239,7 @@ GctIndex GctIndex::Build(const Graph& graph, const Options& options) {
         EgoNetworkExtractor extractor(graph);
         EgoTrussDecomposer decomposer(options.method);
         EgoNetwork ego;
+        std::vector<std::uint32_t> trussness;
         SupernodeBuilder scratch;
         for (std::uint64_t v = begin; v < end; ++v) {
           {
@@ -249,10 +250,9 @@ GctIndex GctIndex::Build(const Graph& graph, const Options& options) {
               extractor.ExtractInto(static_cast<VertexId>(v), &ego);
             }
           }
-          std::vector<std::uint32_t> trussness;
           {
             ScopedTimer t(&chunk.decomposition_seconds);
-            trussness = decomposer.Compute(ego);
+            decomposer.ComputeInto(ego, &trussness);
           }
           ScopedTimer t(&chunk.assembly_seconds);
           AssembleSupernodes(ego, trussness, scratch, chunk);

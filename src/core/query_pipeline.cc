@@ -104,7 +104,7 @@ QueryOptions QueryOptionsFromFlags(const Flags& flags) {
   const std::string plan = flags.GetString("plan", "auto");
   const std::optional<TrussPlanAlgorithm> parsed = ParseTrussPlanAlgorithm(plan);
   TSD_CHECK_MSG(parsed.has_value(),
-                "--plan must be one of auto, bsp, jacobi, core-truss");
+                "--plan must be one of auto, bsp, core-truss");
   options.truss_plan = *parsed;
   options.ramp_base_per_thread = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, flags.GetInt("ramp-base", 4)));

@@ -35,9 +35,9 @@ struct QueryOptions {
   /// Chunks the candidate range is split into (0 = auto: one chunk when
   /// sequential, 8 per thread otherwise, matching the index builders).
   std::uint32_t num_chunks = 0;
-  /// Truss-decomposition kernel for the preprocessing stages that run a
-  /// global decomposition (bound sparsification, stats). Every plan yields
-  /// bit-identical trussness — this is a performance knob (tsdtool --plan).
+  /// Truss plan for the global preprocessing stages: whether the bound
+  /// searcher's floor peel runs the core prefilter first. Every plan yields
+  /// bit-identical results — this is a performance knob (tsdtool --plan).
   TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
   /// ScoreOrdered round ramp-up: the first parallel round scores
   /// max(num_threads * ramp_base_per_thread, r) candidates and each

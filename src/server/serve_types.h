@@ -1,11 +1,11 @@
 // Shared request/reply/option/stat types of the serving layer, plus the
 // ServeSubmitter interface the protocol front-ends are written against.
 //
-// Both serving loops — the single-consumer ServeLoop and the sharded
-// multi-consumer ShardedServeLoop — speak exactly this vocabulary, which is
-// what lets one stdin-proto driver (and one CI byte-identity harness) run
-// over either: a reply is a pure function of its request, so which loop
-// shape produced it is invisible in the bytes.
+// The serving loop (ShardedServeLoop, at any shard count) and the live-index
+// front-end speak exactly this vocabulary, which is what lets one
+// stdin-proto driver (and one CI byte-identity harness) run over any of
+// them: a reply is a pure function of its request, so which loop shape
+// produced it is invisible in the bytes.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,28 @@
-// Sharded multi-consumer serving loop: inter-batch parallelism for
-// workloads with many tiny queries.
+// Sharded multi-consumer serving loop over the shared-immutable searchers.
 //
-// The single-consumer ServeLoop dispatches one coalesced batch at a time —
-// intra-batch parallelism comes from the session's pipeline threads, but
-// the dispatch itself is serial. ShardedServeLoop replicates the consumer
-// machinery S ways: each shard is a complete internal::ConsumerLoop (its
-// own wait-free MPSC queue, its own QuerySession, its own coalescing
-// SearchBatch dispatch, its own admission state) over the one shared
-// immutable searcher, and S consumer threads dispatch S batches
-// concurrently.
+// The paper's query workload — many independent top-r queries against one
+// prebuilt index — is exactly the multi-tenant server shape.
+// ShardedServeLoop turns a (const, immutable-after-build) DiversitySearcher
+// into a service: client threads submit ServeRequests through a wait-free
+// MPSC queue and get futures back; a consumer thread drains the queue,
+// **coalesces** whatever is in flight into a single SearchBatch call
+// (amortizing ego decompositions / index sweeps across tenants exactly as
+// the batch engine amortizes them across k's), and fulfills the futures.
+// Admission control happens at Submit time, synchronously and
+// deterministically: a request with r above the per-request cap, or k < 2 /
+// r < 1, or one that would push its tenant past the queue-depth limit, is
+// rejected immediately (the future is fulfilled with the rejection) and
+// never reaches the queue.
+//
+// One shard (the default) is a single consumer that dispatches one
+// coalesced batch at a time — intra-batch parallelism comes from the
+// session's pipeline threads, but the dispatch itself is serial. More
+// shards buy inter-batch parallelism for workloads with many tiny queries:
+// the loop replicates the consumer machinery S ways. Each shard is a
+// complete internal::ConsumerLoop (its own wait-free MPSC queue, its own
+// QuerySession, its own coalescing SearchBatch dispatch, its own admission
+// state) over the one shared immutable searcher, and S consumer threads
+// dispatch S batches concurrently.
 //
 // Routing is by tenant: Submit sends a request to shard
 // (Hash64(tenant) >> 32) % num_shards. The hash is the stateless

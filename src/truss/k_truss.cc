@@ -45,14 +45,15 @@ Graph EdgeSubgraph(const Graph& graph, KeepFn&& keep) {
 Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
                     const ParallelConfig& config, TrussPlanStats* stats,
                     std::vector<std::uint64_t>* ego_edges) {
-  const TrussPlan plan = TrussPlan::FromAlgorithm(config.truss_plan, floor);
+  floor = std::max<std::uint32_t>(floor, 2);
   TrussPlanStats local_stats;
   TrussPlanStats& out = stats != nullptr ? *stats : local_stats;
-  out = internal::ResolveTrussPlan(graph, plan, config);
+  out = internal::ResolveTrussPlan(
+      graph, TrussPlan::FromAlgorithm(config.truss_plan), floor);
 
   internal::CorePrunedGraph pruned;
   if (out.algorithm == TrussPlanAlgorithm::kCoreThenTruss) {
-    pruned = internal::PruneByCoreBound(graph, plan.min_trussness());
+    pruned = internal::PruneByCoreBound(graph, floor);
     out.edges_pruned = pruned.edges_pruned;
   }
   const Graph* source = pruned.edges_pruned > 0 ? &pruned.graph : &graph;
@@ -61,7 +62,7 @@ Graph KTrussAtFloor(const Graph& graph, std::uint32_t floor,
   // so the floor-truss of the edges that clear that count is the
   // floor-truss of the source. Peeling only those edges, on their own
   // recounted supports, skips every triangle the cut edges close.
-  const std::uint32_t min_support = plan.min_trussness() - 2;
+  const std::uint32_t min_support = floor - 2;
   std::vector<std::uint32_t> support;
   Graph cut;
   if (min_support > 0 || ego_edges != nullptr) {

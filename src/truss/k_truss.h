@@ -36,11 +36,11 @@ Graph KTrussSubgraph(const Graph& graph,
 /// trussness decomposition. Edge-for-edge equal to KTrussSubgraph(graph,
 /// TrussDecomposition(graph).edge_trussness(), floor), at any thread count
 /// and under every plan; floor ≤ 2 returns the whole graph. Steps:
-///  1. config.truss_plan keeps its meaning: when it resolves to
-///     CoreThenTruss, the edges the Burkhardt core bound rules out
-///     (internal::PruneByCoreBound) are dropped first and reported in
-///     `stats->edges_pruned`. The other plans differ only in how a full
-///     decomposition peels, so here they skip this step.
+///  1. config.truss_plan resolves at this floor (Auto picks CoreThenTruss
+///     on skewed graphs above floor 2). Under CoreThenTruss the edges the
+///     Burkhardt core bound rules out (internal::PruneByCoreBound) are
+///     dropped first and reported in `stats->edges_pruned`; under Bsp this
+///     step is skipped.
 ///  2. Supports are counted once. A floor-truss edge lies in at least
 ///     floor − 2 triangles, so only edges with that much support are kept
 ///     (`stats->edges_recounted`), and their supports are counted again on

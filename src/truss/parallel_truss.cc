@@ -159,166 +159,4 @@ std::vector<std::uint32_t> TrussnessFromSupport(
   return trussness;
 }
 
-std::vector<std::uint32_t> TrussnessFromSupportJacobi(
-    const Graph& graph, std::vector<std::uint32_t> support,
-    const ParallelConfig& config) {
-  const EdgeId m = graph.num_edges();
-  TSD_CHECK(support.size() == m);
-  std::vector<std::uint32_t> trussness(m, 2);
-  if (m == 0) return trussness;
-
-  const std::uint32_t num_workers = std::max(1U, config.num_threads);
-  std::vector<std::uint8_t> state(m, kAlive);
-  std::vector<std::uint8_t> queued(m, 0);  // dedup flag for recompute[]
-  std::vector<EdgeId> alive(m);
-  std::iota(alive.begin(), alive.end(), EdgeId{0});
-  std::vector<EdgeId> frontier;
-  std::vector<EdgeId> next_frontier;
-  std::vector<EdgeId> recompute;
-  std::vector<std::uint32_t> recomputed;  // by recompute[] position
-  std::vector<std::vector<EdgeId>> touched(num_workers);
-
-  std::uint32_t level = 0;  // current peeling level in support space (k-2)
-  while (!alive.empty()) {
-    // Identical level bookkeeping to the Bsp peel: compact the alive list,
-    // advance the level to the minimum surviving support, seed the frontier.
-    std::size_t out = 0;
-    std::uint32_t min_support = UINT32_MAX;
-    for (const EdgeId e : alive) {
-      if (state[e] != kAlive) continue;
-      alive[out++] = e;
-      min_support = std::min(min_support, support[e]);
-    }
-    alive.resize(out);
-    if (out == 0) break;
-    level = std::max(level, min_support);
-    frontier.clear();
-    for (const EdgeId e : alive) {
-      if (support[e] <= level) frontier.push_back(e);
-    }
-
-    while (!frontier.empty()) {
-      for (const EdgeId e : frontier) state[e] = kFrontier;
-
-      // Scatter: assign trussness and collect the alive third edges of the
-      // surviving triangles each frontier edge destroys. Unlike the Bsp
-      // scatter there is nothing to count and no tie-break — the recompute
-      // pass below re-derives supports from scratch, so a triangle with
-      // several frontier edges may enqueue its third edge several times
-      // (the queued[] flag dedups at commit).
-      auto scatter = [&](std::uint32_t worker, std::uint64_t begin,
-                         std::uint64_t end) {
-        std::vector<EdgeId>& local_touched = touched[worker];
-        for (std::uint64_t i = begin; i < end; ++i) {
-          const EdgeId e = frontier[i];
-          trussness[e] = level + 2;
-
-          const auto [u0, v0] = graph.edge(e);
-          VertexId u = u0;
-          VertexId v = v0;
-          if (graph.degree(u) > graph.degree(v)) std::swap(u, v);
-          const auto u_nbrs = graph.neighbors(u);
-          const auto u_eids = graph.incident_edges(u);
-          const auto v_nbrs = graph.neighbors(v);
-          const auto v_eids = graph.incident_edges(v);
-          for (std::size_t j = 0; j < u_nbrs.size(); ++j) {
-            const VertexId w = u_nbrs[j];
-            if (w == v) continue;
-            const EdgeId e_uw = u_eids[j];
-            if (state[e_uw] == kRemoved) continue;
-            const auto it = std::lower_bound(v_nbrs.begin(), v_nbrs.end(), w);
-            if (it == v_nbrs.end() || *it != w) continue;
-            const EdgeId e_vw = v_eids[it - v_nbrs.begin()];
-            if (state[e_vw] == kRemoved) continue;
-            if (state[e_uw] == kAlive) local_touched.push_back(e_uw);
-            if (state[e_vw] == kAlive) local_touched.push_back(e_vw);
-          }
-        }
-      };
-      if (frontier.size() < kMinFrontierPerWorker * num_workers) {
-        scatter(0, 0, frontier.size());
-      } else {
-        ParallelForChunksIndexed(
-            frontier.size(), EffectiveChunks(config, frontier.size()),
-            config.num_threads,
-            [&](std::uint32_t worker, std::uint32_t /*chunk*/,
-                std::uint64_t begin, std::uint64_t end) {
-              scatter(worker, begin, end);
-            });
-      }
-
-      // Commit 1 (serial): retire the frozen frontier, dedup the touched
-      // edges that are still alive into the recompute list.
-      for (const EdgeId e : frontier) state[e] = kRemoved;
-      recompute.clear();
-      for (std::vector<EdgeId>& local_touched : touched) {
-        for (const EdgeId e : local_touched) {
-          if (queued[e] != 0) continue;
-          queued[e] = 1;
-          recompute.push_back(e);
-        }
-        local_touched.clear();
-      }
-
-      // Commit 2 (parallel): the exact support of each touched edge in the
-      // surviving graph — count common neighbors whose two cross edges are
-      // not removed. state[] is read-only here and the recomputed[] writes
-      // are disjoint per index, so the phase is race- and tie-break-free.
-      recomputed.resize(recompute.size());
-      auto recount = [&](std::uint64_t begin, std::uint64_t end) {
-        for (std::uint64_t i = begin; i < end; ++i) {
-          const EdgeId e = recompute[i];
-          const auto [u0, v0] = graph.edge(e);
-          VertexId u = u0;
-          VertexId v = v0;
-          if (graph.degree(u) > graph.degree(v)) std::swap(u, v);
-          const auto u_nbrs = graph.neighbors(u);
-          const auto u_eids = graph.incident_edges(u);
-          const auto v_nbrs = graph.neighbors(v);
-          const auto v_eids = graph.incident_edges(v);
-          std::uint32_t count = 0;
-          for (std::size_t j = 0; j < u_nbrs.size(); ++j) {
-            const VertexId w = u_nbrs[j];
-            if (w == v) continue;
-            if (state[u_eids[j]] == kRemoved) continue;
-            const auto it = std::lower_bound(v_nbrs.begin(), v_nbrs.end(), w);
-            if (it == v_nbrs.end() || *it != w) continue;
-            if (state[v_eids[it - v_nbrs.begin()]] == kRemoved) continue;
-            ++count;
-          }
-          recomputed[i] = count;
-        }
-      };
-      if (recompute.size() < kMinFrontierPerWorker * num_workers) {
-        recount(0, recompute.size());
-      } else {
-        ParallelForChunksIndexed(
-            recompute.size(), EffectiveChunks(config, recompute.size()),
-            config.num_threads,
-            [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
-                std::uint64_t begin, std::uint64_t end) {
-              recount(begin, end);
-            });
-      }
-
-      // Commit 3 (serial): store the fresh supports with the same level
-      // clamp as DecreaseKeyClamped, collect the next frontier, and reset
-      // the dedup flags.
-      next_frontier.clear();
-      for (std::size_t i = 0; i < recompute.size(); ++i) {
-        const EdgeId e = recompute[i];
-        queued[e] = 0;
-        if (recomputed[i] <= level) {
-          support[e] = level;
-          next_frontier.push_back(e);
-        } else {
-          support[e] = recomputed[i];
-        }
-      }
-      frontier.swap(next_frontier);
-    }
-  }
-  return trussness;
-}
-
 }  // namespace tsd

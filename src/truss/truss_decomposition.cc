@@ -9,9 +9,6 @@ namespace tsd {
 TrussDecomposition::TrussDecomposition(const Graph& graph,
                                        const ParallelConfig& config,
                                        const TrussPlan& plan) {
-  // Every plan routes to kernels that are bit-identical to the sequential
-  // decomposition (trussness is unique); the plan only changes how the
-  // fixed point is reached and how much work is pruned on the way.
   edge_trussness_ = TrussnessWithPlan(graph, plan, config, &plan_stats_);
 
   vertex_trussness_.assign(graph.num_vertices(), 0);

@@ -6,15 +6,11 @@
 // incident edges), used by graph sparsification and GCT supernode
 // initialization.
 //
-// Construction accepts a ParallelConfig and routes through the TrussPlan
-// subsystem (truss/truss_plan.h): config.truss_plan picks the kernel (Bsp,
-// BspJacobi, CoreThenTruss, or the statistics-driven auto-tuner) and
-// config.num_threads its parallelism. Trussness is unique, so every plan is
-// bit-identical to the sequential decomposition at any thread count. A
-// caller that only consumes trussness ≥ t may pass an explicit plan with
-// min_trussness = t; the derived state (vertex trussness, histogram) then
-// reflects the degraded sub-threshold values — see the min_trussness
-// contract in truss_plan.h.
+// Construction accepts a ParallelConfig and routes through
+// TrussnessWithPlan (truss/truss_plan.h): one support count, then the one
+// global peel, on config.num_threads workers. Trussness is unique, so the
+// result is bit-identical to the sequential decomposition at any thread
+// count and under every plan; the plan only shows in plan_stats().
 #pragma once
 
 #include <cstdint>
@@ -33,14 +29,12 @@ class TrussDecomposition {
       : TrussDecomposition(graph, ParallelConfig{}) {}
 
   /// Same decomposition on `config.num_threads` workers (bit-identical),
-  /// under the kernel selected by config.truss_plan with the full-exactness
-  /// floor min_trussness = 2.
+  /// reporting under the plan config.truss_plan names.
   TrussDecomposition(const Graph& graph, const ParallelConfig& config)
       : TrussDecomposition(graph, config,
                            TrussPlan::FromAlgorithm(config.truss_plan)) {}
 
-  /// Explicit-plan constructor; the only way to run with a consumption
-  /// floor above 2.
+  /// Explicit-plan constructor.
   TrussDecomposition(const Graph& graph, const ParallelConfig& config,
                      const TrussPlan& plan);
 
@@ -62,8 +56,8 @@ class TrussDecomposition {
   /// histogram[k] = number of edges with trussness exactly k (Figure 3).
   std::vector<std::uint64_t> TrussnessHistogram() const;
 
-  /// How the plan executed: resolved algorithm, bitmap-kernel use, edges
-  /// pruned by the core prefilter, and the auto-tuner's input statistics.
+  /// How the plan executed: resolved algorithm, bitmap-kernel use, and the
+  /// auto-tuner's input statistics.
   const TrussPlanStats& plan_stats() const { return plan_stats_; }
 
  private:

@@ -52,23 +52,13 @@ GraphStatistics ComputeGraphStatistics(const Graph& graph) {
 }
 
 TrussPlanAlgorithm ChooseTrussPlanAlgorithm(const GraphStatistics& stats,
-                                            std::uint32_t min_trussness,
-                                            const ParallelConfig& config) {
-  // A consumption floor above 2 makes the O(n + m) core prefilter worth its
-  // price whenever the degree distribution is skewed: skew puts mass below
-  // the floor's core bound, and every pruned edge skips its O(ρ) support
+                                            std::uint32_t floor) {
+  // A floor above 2 makes the O(n + m) core prefilter worth its price
+  // whenever the degree distribution is skewed: skew puts mass below the
+  // floor's core bound, and every pruned edge skips its O(ρ) support
   // intersection and all peeling work entirely.
-  if (min_trussness > 2 && stats.degree_skew >= 3.0) {
+  if (floor > 2 && stats.degree_skew >= 3.0) {
     return TrussPlanAlgorithm::kCoreThenTruss;
-  }
-  // Wide, even frontiers — dense graphs with balanced degrees peel many
-  // edges per level — favour the Jacobi schedule: its recompute phase is
-  // tie-break-free and embarrassingly parallel. Narrow or skewed frontiers
-  // favour Bsp's cheaper per-triangle decrements, and below 4 threads the
-  // recompute overhead has nothing to amortize against.
-  if (config.num_threads >= 4 && stats.average_degree >= 16.0 &&
-      stats.degree_skew < 3.0) {
-    return TrussPlanAlgorithm::kBspJacobi;
   }
   return TrussPlanAlgorithm::kBsp;
 }
@@ -109,15 +99,13 @@ std::vector<std::uint32_t> SupportViaBitmaps(const Graph& graph,
 }
 
 TrussPlanStats ResolveTrussPlan(const Graph& graph, const TrussPlan& plan,
-                                const ParallelConfig& config) {
+                                std::uint32_t floor) {
   TrussPlanStats stats;
   stats.requested = plan.algorithm();
-  stats.min_trussness = plan.min_trussness();
   stats.graph_stats = ComputeGraphStatistics(graph);
   stats.algorithm =
       plan.algorithm() == TrussPlanAlgorithm::kAuto
-          ? ChooseTrussPlanAlgorithm(stats.graph_stats, plan.min_trussness(),
-                                     config)
+          ? ChooseTrussPlanAlgorithm(stats.graph_stats, floor)
           : plan.algorithm();
   return stats;
 }
@@ -136,75 +124,16 @@ CorePrunedGraph PruneByCoreBound(const Graph& graph, std::uint32_t floor) {
 
   std::vector<std::pair<VertexId, VertexId>> kept_edges;
   kept_edges.reserve(graph.num_edges() - pruned.edges_pruned);
-  pruned.kept_ids.reserve(kept_edges.capacity());
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edge(e);
-    if (kept(edge)) {
-      kept_edges.emplace_back(edge.u, edge.v);
-      pruned.kept_ids.push_back(e);
-    }
+  for (const Edge& edge : graph.edges()) {
+    if (kept(edge)) kept_edges.emplace_back(edge.u, edge.v);
   }
   pruned.graph = Graph::FromEdges(std::move(kept_edges), graph.num_vertices());
-  // GraphBuilder sorts edges by (u, v) and the kept list is an (already
-  // sorted) subsequence of graph.edges(), so subgraph edge i is exactly
-  // kept_ids[i].
-  TSD_CHECK(pruned.graph.num_edges() == pruned.kept_ids.size());
+  TSD_CHECK(pruned.graph.num_edges() ==
+            graph.num_edges() - pruned.edges_pruned);
   return pruned;
 }
 
 }  // namespace internal
-
-namespace {
-
-std::vector<std::uint32_t> SupportForPlan(const Graph& graph,
-                                          const ParallelConfig& config,
-                                          bool bitmap_kernel) {
-  return bitmap_kernel ? internal::SupportViaBitmaps(graph, config)
-                       : ComputeSupport(graph, config);
-}
-
-std::vector<std::uint32_t> RunPeel(const Graph& graph,
-                                   TrussPlanAlgorithm algorithm,
-                                   const ParallelConfig& config,
-                                   TrussPlanStats& stats) {
-  stats.bitmap_kernel = internal::BitmapSupportEligible(
-      graph.num_vertices(), graph.num_edges(), internal::kBitmapBudgetBytes,
-      internal::kGlobalBitmapDensityShift);
-  std::vector<std::uint32_t> support =
-      SupportForPlan(graph, config, stats.bitmap_kernel);
-  return algorithm == TrussPlanAlgorithm::kBspJacobi
-             ? TrussnessFromSupportJacobi(graph, std::move(support), config)
-             : TrussnessFromSupport(graph, std::move(support), config);
-}
-
-// CoreThenTruss: prune every edge whose core bound proves its trussness
-// below the floor, then peel the surviving subgraph. The pruned edges are in
-// no k-truss the caller consumes, so trussness restricted to the subgraph
-// equals trussness in G for every surviving edge of trussness ≥ floor.
-std::vector<std::uint32_t> RunCoreThenTruss(const Graph& graph,
-                                            const TrussPlan& plan,
-                                            const ParallelConfig& config,
-                                            TrussPlanStats& stats) {
-  const internal::CorePrunedGraph pruned =
-      internal::PruneByCoreBound(graph, plan.min_trussness());
-  stats.edges_pruned = pruned.edges_pruned;
-  if (pruned.edges_pruned == 0) {
-    // Nothing to prune (always the case at min_trussness == 2: every edge
-    // endpoint has core ≥ 1); no subgraph was built.
-    return RunPeel(graph, TrussPlanAlgorithm::kBsp, config, stats);
-  }
-  const std::vector<std::uint32_t> sub_trussness =
-      RunPeel(pruned.graph, TrussPlanAlgorithm::kBsp, config, stats);
-
-  // Pruned edges take the trivial trussness 2.
-  std::vector<std::uint32_t> trussness(graph.num_edges(), 2);
-  for (std::size_t i = 0; i < pruned.kept_ids.size(); ++i) {
-    trussness[pruned.kept_ids[i]] = sub_trussness[i];
-  }
-  return trussness;
-}
-
-}  // namespace
 
 std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
                                              const TrussPlan& plan,
@@ -212,18 +141,22 @@ std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
                                              TrussPlanStats* stats) {
   TrussPlanStats local_stats;
   TrussPlanStats& out = stats != nullptr ? *stats : local_stats;
-  out = internal::ResolveTrussPlan(graph, plan, config);
-  if (out.algorithm == TrussPlanAlgorithm::kCoreThenTruss) {
-    return RunCoreThenTruss(graph, plan, config, out);
-  }
-  return RunPeel(graph, out.algorithm, config, out);
+  // At floor 2 the core prefilter prunes nothing (every edge endpoint has
+  // core ≥ 1), so every plan runs the same support count and peel.
+  out = internal::ResolveTrussPlan(graph, plan, 2);
+  out.bitmap_kernel = internal::BitmapSupportEligible(
+      graph.num_vertices(), graph.num_edges(), internal::kBitmapBudgetBytes,
+      internal::kGlobalBitmapDensityShift);
+  std::vector<std::uint32_t> support =
+      out.bitmap_kernel ? internal::SupportViaBitmaps(graph, config)
+                        : ComputeSupport(graph, config);
+  return TrussnessFromSupport(graph, std::move(support), config);
 }
 
 std::optional<TrussPlanAlgorithm> ParseTrussPlanAlgorithm(
     std::string_view name) {
   if (name == "auto") return TrussPlanAlgorithm::kAuto;
   if (name == "bsp") return TrussPlanAlgorithm::kBsp;
-  if (name == "jacobi") return TrussPlanAlgorithm::kBspJacobi;
   if (name == "core-truss") return TrussPlanAlgorithm::kCoreThenTruss;
   return std::nullopt;
 }
@@ -234,8 +167,6 @@ std::string TrussPlanAlgorithmName(TrussPlanAlgorithm algorithm) {
       return "auto";
     case TrussPlanAlgorithm::kBsp:
       return "bsp";
-    case TrussPlanAlgorithm::kBspJacobi:
-      return "jacobi";
     case TrussPlanAlgorithm::kCoreThenTruss:
       return "core-truss";
   }

@@ -1,42 +1,30 @@
-// Pluggable truss-decomposition kernels behind one plan selector.
+// Truss-decomposition plans behind one selector.
 //
 // Mirrors the KTrussPlan idiom of Katana-style graph engines: callers pick
-// an algorithm (or let the auto-tuner pick) and every plan produces
-// trussness bit-identical to the sequential Wang–Cheng peel — trussness is
-// the unique fixed point of support peeling, so exact equality is the
-// specification, and tests/truss_plan_test.cc enforces it differentially.
+// a plan (or let the auto-tuner pick), and every plan runs the same global
+// peel — support counting, then TrussnessFromSupport (truss/parallel_truss.h)
+// — so trussness is bit-identical to the sequential Wang–Cheng peel under
+// every plan and thread count. tests/truss_plan_test.cc enforces it
+// differentially.
 //
-//  * Bsp           — the frontier-parallel peel of truss/parallel_truss.h,
-//                    unchanged, as the reference plan.
-//  * BspJacobi     — separated edge-removal rounds: the frontier is frozen,
-//                    the true surviving support of every touched edge is
-//                    recomputed in parallel, then committed. More work per
-//                    touched edge than Bsp's decrement bookkeeping, but the
-//                    recompute phase is embarrassingly parallel and free of
-//                    the per-triangle tie-break, which pays on wide
-//                    frontiers.
-//  * CoreThenTruss — runs the k-core machinery first and applies the
-//                    Burkhardt core-number bound (arXiv:1806.05523): the
-//                    k-truss is contained in the (k-1)-core, so
-//                    trussness(e) ≤ min(core(u), core(v)) + 1 and every
-//                    edge whose bound falls below the requested minimum
-//                    trussness is pruned before any triangle counting.
+//  * Bsp           — the frontier-parallel peel alone.
+//  * CoreThenTruss — adds the Burkhardt core-number prefilter
+//                    (arXiv:1806.05523): the k-truss is contained in the
+//                    (k-1)-core, so trussness(e) ≤ min(core(u), core(v)) + 1
+//                    and KTrussAtFloor (truss/k_truss.h) drops every edge
+//                    whose bound falls below its floor before any triangle
+//                    counting. A full decomposition has floor 2, where the
+//                    bound prunes nothing.
 //  * Auto          — picks one of the above from cheap one-pass statistics
-//                    (n, m, density, degeneracy estimate, degree skew).
+//                    (degree skew) and the floor.
 //
-// Orthogonally to the peel choice, the support-computation stage may run a
-// bitmap triangle kernel (per-vertex adjacency bitmaps + AND-popcount,
-// reusing common/bitmap.h) when the graph is dense enough — the same
-// density rule the ego decomposer uses, shared here as constants.
+// The floor lives only in KTrussAtFloor, which passes it to ResolveTrussPlan
+// and PruneByCoreBound; a plan carries no floor of its own.
 //
-// min_trussness contract: with min_trussness == 2 (the default) every plan
-// computes the full exact decomposition. A caller that only consumes edges
-// of trussness ≥ t (e.g. the bound searcher, which sparsifies to the
-// (k+1)-truss) may pass min_trussness = t; then CoreThenTruss prunes edges
-// whose core bound proves trussness < t and reports them with the trivial
-// trussness 2. Reported values are exact for every edge whose true
-// trussness is ≥ t, and provably below t (though possibly not exact)
-// otherwise.
+// Orthogonally to the plan, the support stage may run a bitmap triangle
+// kernel (per-vertex adjacency bitmaps + AND-popcount, reusing
+// common/bitmap.h) when the graph is dense enough — the same density rule
+// the ego decomposer uses, shared here as constants.
 #pragma once
 
 #include <cstdint>
@@ -74,41 +62,32 @@ struct GraphStatistics {
 /// One pass over the degree sequence; O(n + max_degree).
 GraphStatistics ComputeGraphStatistics(const Graph& graph);
 
-/// A truss-decomposition execution plan: which peel to run plus the
-/// minimum trussness the caller will consume (see the contract above).
+/// A truss-decomposition plan: whether the floor-truss kernel runs the core
+/// prefilter (see the top of this file).
 class TrussPlan {
  public:
   using Algorithm = TrussPlanAlgorithm;
 
-  /// Default plan: auto-tuned, full exact decomposition.
+  /// Default plan: auto-tuned.
   TrussPlan() = default;
 
-  static TrussPlan Auto(std::uint32_t min_trussness = 2) {
-    return TrussPlan(Algorithm::kAuto, min_trussness);
-  }
-  static TrussPlan Bsp() { return TrussPlan(Algorithm::kBsp, 2); }
-  static TrussPlan BspJacobi() { return TrussPlan(Algorithm::kBspJacobi, 2); }
-  static TrussPlan CoreThenTruss(std::uint32_t min_trussness = 2) {
-    return TrussPlan(Algorithm::kCoreThenTruss, min_trussness);
+  static TrussPlan Auto() { return TrussPlan(Algorithm::kAuto); }
+  static TrussPlan Bsp() { return TrussPlan(Algorithm::kBsp); }
+  static TrussPlan CoreThenTruss() {
+    return TrussPlan(Algorithm::kCoreThenTruss);
   }
   /// Plan for a config-carried algorithm tag (how searchers turn their
-  /// QueryOptions into a plan, threading through the trussness floor they
-  /// actually consume).
-  static TrussPlan FromAlgorithm(Algorithm algorithm,
-                                 std::uint32_t min_trussness = 2) {
-    return TrussPlan(algorithm, min_trussness);
+  /// QueryOptions into a plan).
+  static TrussPlan FromAlgorithm(Algorithm algorithm) {
+    return TrussPlan(algorithm);
   }
 
   Algorithm algorithm() const { return algorithm_; }
-  std::uint32_t min_trussness() const { return min_trussness_; }
 
  private:
-  TrussPlan(Algorithm algorithm, std::uint32_t min_trussness)
-      : algorithm_(algorithm),
-        min_trussness_(min_trussness < 2 ? 2 : min_trussness) {}
+  explicit TrussPlan(Algorithm algorithm) : algorithm_(algorithm) {}
 
   Algorithm algorithm_ = Algorithm::kAuto;
-  std::uint32_t min_trussness_ = 2;
 };
 
 /// How a plan actually executed — resolution of kAuto, the pruning report,
@@ -120,9 +99,8 @@ struct TrussPlanStats {
   TrussPlanAlgorithm algorithm = TrussPlanAlgorithm::kBsp;
   /// Whether supports were computed with the bitmap triangle kernel.
   bool bitmap_kernel = false;
-  std::uint32_t min_trussness = 2;
-  /// Edges dropped by the CoreThenTruss prefilter before triangle counting
-  /// (0 for the other plans, and always 0 when min_trussness == 2).
+  /// Edges dropped by the core prefilter before triangle counting
+  /// (KTrussAtFloor under CoreThenTruss only; 0 everywhere else).
   std::uint64_t edges_pruned = 0;
   /// KTrussAtFloor only: edges that survive its support cut (support ≥
   /// floor − 2 after any core prune), whose supports it recounts before
@@ -132,44 +110,41 @@ struct TrussPlanStats {
   GraphStatistics graph_stats;
 };
 
-/// The auto-tuner: deterministic pure function of the statistics, the
-/// consumption floor, and the thread budget. Never returns kAuto.
+/// The auto-tuner: deterministic pure function of the statistics and the
+/// trussness floor the caller consumes. Never returns kAuto.
 TrussPlanAlgorithm ChooseTrussPlanAlgorithm(const GraphStatistics& stats,
-                                            std::uint32_t min_trussness,
-                                            const ParallelConfig& config);
+                                            std::uint32_t floor);
 
-/// Edge trussness of `graph` under `plan`. Bit-identical to
-/// PeelSupportToTrussness(graph, ComputeSupport(graph)) for every edge of
-/// trussness ≥ plan.min_trussness(), at any thread count and for every
-/// plan; with the default min_trussness == 2 that means bit-identical
-/// everywhere. Fills `*stats` (optional) with the execution report.
+/// Edge trussness of `graph`: support counting, then TrussnessFromSupport.
+/// Bit-identical to PeelSupportToTrussness(graph, ComputeSupport(graph)) at
+/// any thread count and under every plan, which only shows in `*stats`
+/// (optional, the execution report).
 std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
                                              const TrussPlan& plan,
                                              const ParallelConfig& config,
                                              TrussPlanStats* stats = nullptr);
 
-/// CLI spellings: "auto", "bsp", "jacobi", "core-truss".
+/// CLI spellings: "auto", "bsp", "core-truss".
 std::optional<TrussPlanAlgorithm> ParseTrussPlanAlgorithm(
     std::string_view name);
 std::string TrussPlanAlgorithmName(TrussPlanAlgorithm algorithm);
 
 namespace internal {
 
-/// The execution report before anything runs: the request, the floor, the
-/// tuner inputs, and the resolved algorithm (kAuto goes through
-/// ChooseTrussPlanAlgorithm). Shared by TrussnessWithPlan and KTrussAtFloor
-/// (truss/k_truss.h), so a plan resolves the same way on both paths.
+/// The execution report before anything runs: the request, the tuner
+/// inputs, and the resolved algorithm (kAuto goes through
+/// ChooseTrussPlanAlgorithm at `floor`). Shared by TrussnessWithPlan (floor
+/// 2) and KTrussAtFloor (truss/k_truss.h), so a plan resolves the same way
+/// on both paths.
 TrussPlanStats ResolveTrussPlan(const Graph& graph, const TrussPlan& plan,
-                                const ParallelConfig& config);
+                                std::uint32_t floor);
 
 /// What the Burkhardt core prefilter keeps of a graph.
 struct CorePrunedGraph {
-  /// The surviving edges over the same vertex-id space. Left empty when
-  /// nothing is pruned: callers then keep using the input graph.
+  /// The surviving edges over the same vertex-id space, in input order.
+  /// Left empty when nothing is pruned: callers then keep using the input
+  /// graph.
   Graph graph;
-  /// kept_ids[i] is the input id of graph's edge i (empty when nothing is
-  /// pruned).
-  std::vector<EdgeId> kept_ids;
   std::uint64_t edges_pruned = 0;
 };
 
@@ -177,7 +152,7 @@ struct CorePrunedGraph {
 /// (arXiv:1806.05523) proves its trussness below `floor`. The k-truss lies
 /// in the (k-1)-core, so the floor-truss of the result equals the
 /// floor-truss of `graph`, and every kept edge of trussness ≥ floor keeps
-/// its trussness. The one prefilter behind CoreThenTruss and KTrussAtFloor.
+/// its trussness. The prefilter KTrussAtFloor runs under CoreThenTruss.
 CorePrunedGraph PruneByCoreBound(const Graph& graph, std::uint32_t floor);
 
 /// Scratch budget for the bitmap kernels: n adjacency bitmaps of n bits.

@@ -98,8 +98,8 @@ std::vector<ParallelConfig> ThreadConfigs() {
 }
 
 std::vector<TrussPlanAlgorithm> Plans() {
-  return {TrussPlanAlgorithm::kBsp, TrussPlanAlgorithm::kBspJacobi,
-          TrussPlanAlgorithm::kCoreThenTruss, TrussPlanAlgorithm::kAuto};
+  return {TrussPlanAlgorithm::kBsp, TrussPlanAlgorithm::kCoreThenTruss,
+          TrussPlanAlgorithm::kAuto};
 }
 
 // ------------------------------------------------ the marked-scan kernel

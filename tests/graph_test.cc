@@ -202,16 +202,5 @@ TEST_F(EdgeListIoTest, MissingFileThrows) {
                CheckError);
 }
 
-TEST_F(EdgeListIoTest, BinaryRoundTripPreservesIsolatedVertices) {
-  Graph g = Graph::FromEdges({{0, 1}, {1, 2}, {4, 5}}, 9);
-  const std::string path = TempPath("tsd_graph_io.bin");
-  SaveGraphBinary(g, path);
-  Graph loaded = LoadGraphBinary(path);
-  EXPECT_EQ(loaded.num_vertices(), 9u);
-  EXPECT_EQ(loaded.num_edges(), 3u);
-  for (const Edge& e : g.edges()) EXPECT_TRUE(loaded.HasEdge(e.u, e.v));
-  std::filesystem::remove(path);
-}
-
 }  // namespace
 }  // namespace tsd

@@ -27,7 +27,6 @@
 #include "core/query_session.h"
 #include "graph/generators.h"
 #include "serve_test_util.h"
-#include "server/serve_loop.h"
 #include "server/sharded_serve.h"
 #include "server/tenant_table.h"
 
@@ -415,28 +414,24 @@ TEST_F(ShardedServeStressTest, PerTenantSubmissionOrderIsPreserved) {
   }
 }
 
-TEST_F(ShardedServeStressTest, OneShardMatchesServeLoopTranscript) {
-  // ShardedServeLoop with one shard and the classic ServeLoop must agree
-  // reply for reply — the refactor onto internal::ConsumerLoop changed no
-  // behaviour.
-  ShardedServeOptions options;
-  ShardedServeLoop sharded(*searcher_, options);
-  ServeLoop single(*searcher_);
-  sharded.Start();
+TEST_F(ShardedServeStressTest, OneShardMatchesSerialTopR) {
+  // A one-shard loop is the single-consumer server: its replies must equal
+  // serial TopR on the same searcher, reply for reply.
+  ShardedServeLoop single(*searcher_);
   single.Start();
+  std::uint64_t submitted = 0;
   for (std::uint32_t k : kKs) {
     for (std::uint32_t r : kRs) {
-      ServeReply a = sharded.Submit(ServeRequest{k, k, r}).Get();
-      ServeReply b = single.Submit(ServeRequest{k, k, r}).Get();
-      ASSERT_EQ(a.status, ServeStatus::kOk);
-      ASSERT_EQ(b.status, ServeStatus::kOk);
-      ExpectSameEntries(a.result, b.result,
+      ServeReply reply = single.Submit(ServeRequest{k, k, r}).Get();
+      ++submitted;
+      ASSERT_EQ(reply.status, ServeStatus::kOk);
+      ExpectSameEntries(reference_->at({k, r}), reply.result,
                         "k=" + std::to_string(k) + " r=" + std::to_string(r));
     }
   }
-  sharded.Shutdown();
   single.Shutdown();
-  EXPECT_EQ(sharded.stats().served, single.stats().served);
+  EXPECT_EQ(single.num_shards(), 1u);
+  EXPECT_EQ(single.stats().served, submitted);
 }
 
 // ------------------------------------------------------- TenantDepthTable

@@ -1,14 +1,13 @@
 // Differential suite for the TrussPlan subsystem (truss/truss_plan.h).
 // Trussness is the unique fixed point of support peeling, so every plan —
-// Bsp, BspJacobi, CoreThenTruss, and whatever Auto resolves to — must be
-// bit-identical to the sequential Wang–Cheng peel on every graph at every
-// thread count; exact equality is the specification, not a tolerance.
-// Also covers: the single-floor k-truss peel (KTrussAtFloor) against the
-// full decomposition, CoreThenTruss prune soundness against an independently
-// recomputed core bound, auto-tuner determinism, the Jacobi schedule on
-// large frontiers, the bitmap support kernel, the plan knob threading
-// through QueryOptions into the searchers, and the ordered batch scan
-// (small total r) against the per-query reference.
+// Bsp, CoreThenTruss, and whatever Auto resolves to — must be bit-identical
+// to the sequential Wang–Cheng peel on every graph at every thread count;
+// exact equality is the specification, not a tolerance. Also covers: the
+// single-floor k-truss peel (KTrussAtFloor) against the full decomposition,
+// the core prefilter's soundness against an independently recomputed core
+// bound, auto-tuner determinism, the bitmap support kernel, the plan knob
+// threading through QueryOptions into the searchers, and the ordered batch
+// scan (small total r) against the per-query reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +23,6 @@
 #include "graph/graph.h"
 #include "truss/core_decomposition.h"
 #include "truss/k_truss.h"
-#include "truss/parallel_truss.h"
 #include "truss/peeling.h"
 #include "graph/triangle.h"
 #include "truss/truss_decomposition.h"
@@ -56,7 +54,6 @@ struct PlanCase {
 
 std::vector<PlanCase> PlanCases() {
   return {{"bsp", TrussPlanAlgorithm::kBsp},
-          {"jacobi", TrussPlanAlgorithm::kBspJacobi},
           {"core_truss", TrussPlanAlgorithm::kCoreThenTruss},
           {"auto", TrussPlanAlgorithm::kAuto}};
 }
@@ -116,7 +113,8 @@ TEST_P(TrussPlanDifferentialTest, BitIdenticalToSequentialPeel) {
     EXPECT_EQ(TrussnessWithPlan(g, plan, config, &stats), expected) << label;
     EXPECT_EQ(stats.requested, plan_case.algorithm) << label;
     EXPECT_NE(stats.algorithm, TrussPlanAlgorithm::kAuto) << label;
-    // The default floor of 2 never prunes: every edge endpoint has core ≥ 1.
+    // A full decomposition has floor 2, where nothing is pruned: every edge
+    // endpoint has core ≥ 1.
     EXPECT_EQ(stats.edges_pruned, 0u) << label;
     EXPECT_EQ(stats.graph_stats.num_edges, g.num_edges()) << label;
   }
@@ -146,7 +144,7 @@ TEST_P(TrussPlanDifferentialTest, TrussDecompositionRoutesPlan) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGraphsAllPlans, TrussPlanDifferentialTest,
-    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 4)),
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 3)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return TestGraphs()[std::get<0>(info.param)].name + "_" +
              PlanCases()[std::get<1>(info.param)].name;
@@ -195,9 +193,8 @@ TEST_P(KTrussAtFloorTest, EqualsFloorTrussOfFullDecomposition) {
   for (std::uint32_t floor = 3; floor <= full.max_trussness() + 1; ++floor) {
     const std::vector<Edge> expected =
         EdgesOf(g, KTrussEdges(g, full.edge_trussness(), floor));
-    TrussPlanStats core_stats;
-    TrussnessWithPlan(g, TrussPlan::CoreThenTruss(floor), ParallelConfig{},
-                      &core_stats);
+    const std::uint64_t core_pruned =
+        internal::PruneByCoreBound(g, floor).edges_pruned;
     for (ParallelConfig config : ThreadConfigs()) {
       config.truss_plan = plan_case.algorithm;
       const std::string label = test_case.name + " plan=" + plan_case.name +
@@ -209,12 +206,16 @@ TEST_P(KTrussAtFloorTest, EqualsFloorTrussOfFullDecomposition) {
       EXPECT_EQ(truss.num_vertices(), g.num_vertices()) << label;
       EXPECT_EQ(EdgesOf(truss), expected) << label;
       EXPECT_EQ(stats.requested, plan_case.algorithm) << label;
-      EXPECT_EQ(stats.min_trussness, floor) << label;
-      // The prefilter runs, and prunes exactly what the plan's own
-      // prefilter prunes, only when the plan resolves to CoreThenTruss.
+      EXPECT_EQ(stats.algorithm,
+                plan_case.algorithm == TrussPlanAlgorithm::kAuto
+                    ? ChooseTrussPlanAlgorithm(stats.graph_stats, floor)
+                    : plan_case.algorithm)
+          << label;
+      // The prefilter runs, and prunes exactly what PruneByCoreBound
+      // prunes at this floor, only when the plan resolves to CoreThenTruss.
       EXPECT_EQ(stats.edges_pruned,
                 stats.algorithm == TrussPlanAlgorithm::kCoreThenTruss
-                    ? core_stats.edges_pruned
+                    ? core_pruned
                     : 0u)
           << label;
     }
@@ -223,7 +224,7 @@ TEST_P(KTrussAtFloorTest, EqualsFloorTrussOfFullDecomposition) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGraphsAllPlans, KTrussAtFloorTest,
-    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 4)),
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 3)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return TestGraphs()[std::get<0>(info.param)].name + "_" +
              PlanCases()[std::get<1>(info.param)].name;
@@ -306,42 +307,46 @@ TEST(KTrussAtFloorEdgeCaseTest, FloorTwoReturnsWholeGraph) {
   }
 }
 
-// ------------------------------------------------ CoreThenTruss soundness
+// ------------------------------------------------ core prefilter soundness
 
-// Recomputes the Burkhardt bound independently and checks the pruning
-// report against it: exactly the below-floor edges are pruned, every pruned
-// edge's true trussness really is below the floor, reported values are
-// exact at or above the floor and never overshoot below it.
+// Recomputes the Burkhardt bound independently and checks the prefilter
+// KTrussAtFloor runs under CoreThenTruss against it: exactly the
+// below-floor edges are pruned, every pruned edge's true trussness really is
+// below the floor, and the pruned graph is exactly the remaining edges, in
+// input order, over the same vertices.
 TEST(CoreThenTrussPruneSoundnessTest, PrunedEdgesAreProvablyIrrelevant) {
   std::uint64_t total_pruned = 0;
   for (const GraphCase& test_case : TestGraphs()) {
     const Graph& g = test_case.graph;
     const std::vector<std::uint32_t> full = SequentialTrussness(g);
     const CoreDecomposition cores(g);
-    for (const std::uint32_t floor_k : {3u, 4u, 5u, 6u}) {
+    for (const std::uint32_t floor_k : {2u, 3u, 4u, 5u, 6u}) {
       const std::string label =
           test_case.name + " floor=" + std::to_string(floor_k);
-      TrussPlanStats stats;
-      const std::vector<std::uint32_t> reported = TrussnessWithPlan(
-          g, TrussPlan::CoreThenTruss(floor_k), ParallelConfig{1, 0}, &stats);
-      ASSERT_EQ(reported.size(), full.size()) << label;
-      std::uint64_t pruned = 0;
+      const internal::CorePrunedGraph pruned =
+          internal::PruneByCoreBound(g, floor_k);
+      std::vector<EdgeId> kept;
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
         const Edge& edge = g.edge(e);
         const std::uint32_t bound =
             std::min(cores.core(edge.u), cores.core(edge.v)) + 1;
         if (bound < floor_k) {
-          ++pruned;
           // The bound proves trussness < floor; the peel must agree.
           ASSERT_LT(full[e], floor_k) << label << " e=" << e;
+        } else {
+          kept.push_back(e);
         }
-        if (full[e] >= floor_k) {
-          ASSERT_EQ(reported[e], full[e]) << label << " e=" << e;
-        }
-        ASSERT_LE(reported[e], full[e]) << label << " e=" << e;
       }
-      EXPECT_EQ(stats.edges_pruned, pruned) << label;
-      total_pruned += pruned;
+      const std::uint64_t expected_pruned = g.num_edges() - kept.size();
+      EXPECT_EQ(pruned.edges_pruned, expected_pruned) << label;
+      if (expected_pruned == 0) {
+        // Nothing pruned: no subgraph is built and callers keep the input.
+        EXPECT_EQ(pruned.graph.num_edges(), 0u) << label;
+        continue;
+      }
+      EXPECT_EQ(pruned.graph.num_vertices(), g.num_vertices()) << label;
+      EXPECT_EQ(EdgesOf(pruned.graph), EdgesOf(g, kept)) << label;
+      total_pruned += expected_pruned;
     }
   }
   // The suite must actually exercise pruning, not just the zero-pruned
@@ -356,9 +361,8 @@ TEST(TrussPlanAutoTest, ResolutionAndResultAreDeterministic) {
     const Graph& g = test_case.graph;
     const GraphStatistics stats = ComputeGraphStatistics(g);
     for (const ParallelConfig& config : ThreadConfigs()) {
-      const TrussPlanAlgorithm first =
-          ChooseTrussPlanAlgorithm(stats, 2, config);
-      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2, config), first);
+      const TrussPlanAlgorithm first = ChooseTrussPlanAlgorithm(stats, 2);
+      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2), first);
       EXPECT_NE(first, TrussPlanAlgorithm::kAuto);
       TrussPlanStats run1;
       TrussPlanStats run2;
@@ -373,35 +377,29 @@ TEST(TrussPlanAutoTest, ResolutionAndResultAreDeterministic) {
   }
 }
 
+// The prefilter pays only above floor 2 on skewed degree sequences; every
+// other case runs the peel alone.
+TEST(TrussPlanAutoTest, PicksCoreThenTrussAboveFloorTwoOnSkewedGraphs) {
+  GraphStatistics skewed;
+  skewed.degree_skew = 3.0;
+  GraphStatistics even;
+  even.degree_skew = 2.9;
+  EXPECT_EQ(ChooseTrussPlanAlgorithm(skewed, 3),
+            TrussPlanAlgorithm::kCoreThenTruss);
+  EXPECT_EQ(ChooseTrussPlanAlgorithm(skewed, 2), TrussPlanAlgorithm::kBsp);
+  EXPECT_EQ(ChooseTrussPlanAlgorithm(even, 3), TrussPlanAlgorithm::kBsp);
+  EXPECT_EQ(ChooseTrussPlanAlgorithm(even, 2), TrussPlanAlgorithm::kBsp);
+}
+
 TEST(TrussPlanParseTest, RoundTripsCliSpellings) {
-  for (const std::string name : {"auto", "bsp", "jacobi", "core-truss"}) {
+  for (const std::string name : {"auto", "bsp", "core-truss"}) {
     const auto parsed = ParseTrussPlanAlgorithm(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(TrussPlanAlgorithmName(*parsed), name);
   }
   EXPECT_FALSE(ParseTrussPlanAlgorithm("coretruss").has_value());
+  EXPECT_FALSE(ParseTrussPlanAlgorithm("jacobi").has_value());
   EXPECT_FALSE(ParseTrussPlanAlgorithm("").has_value());
-}
-
-// ------------------------------------------------ Jacobi large frontiers
-
-// The small differential graphs mostly peel narrow frontiers (inline
-// scatter and inline recompute). A clique peels as one frontier holding
-// every edge and the dense ER graph peels thousands of edges per level, so
-// these force the threaded recompute path of the Jacobi schedule.
-TEST(BspJacobiLargeFrontierTest, ThreadedRecomputeBitIdentical) {
-  const Graph clique = Clique(120);  // m = 7140 >= 8 threads * 512
-  const Graph dense_er = ErdosRenyi(3000, 60000, 7);
-  for (const Graph* g : {&clique, &dense_er}) {
-    const std::vector<std::uint32_t> expected = SequentialTrussness(*g);
-    for (const std::uint32_t threads : {2u, 8u}) {
-      const ParallelConfig config{threads, 0};
-      EXPECT_EQ(
-          TrussnessFromSupportJacobi(*g, ComputeSupport(*g, config), config),
-          expected)
-          << "threads=" << threads;
-    }
-  }
 }
 
 // ------------------------------------------------ bitmap support kernel
@@ -446,10 +444,9 @@ TEST(BitmapSupportKernelTest, EligibilityRule) {
 // ------------------------------------------------ searcher integration
 
 // The plan knob threads QueryOptions → ParallelConfig → the bound
-// searcher's preprocess decomposition; the ranked answers must not move
-// under any named plan, and CoreThenTruss must report its pruning in
-// SearchStats (the searcher consumes only the (k+1)-truss, so it passes
-// min_trussness = k + 1).
+// searcher's floor peel; the ranked answers must not move under any named
+// plan, and CoreThenTruss must report its pruning in SearchStats (the
+// searcher consumes only the (k+1)-truss, so it peels at floor k + 1).
 TEST(TrussPlanSearcherTest, BoundSearcherIdenticalUnderEveryPlan) {
   // Power-law graph with a low-core tail: at floor k+1 = 5 the core
   // prefilter actually prunes edges (HolmeKim's uniform m-per-vertex keeps

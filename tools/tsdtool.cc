@@ -133,12 +133,13 @@ int Usage() {
       "the bound method, triangle counting, and index construction (build).\n"
       "Output is identical at any thread count; --chunks=M tunes load\n"
       "balancing. Results go to stdout, diagnostics to stderr.\n"
-      "--plan={auto,bsp,jacobi,core-truss} picks the truss-decomposition\n"
-      "kernel those preprocessing stages run (e.g. `tsdtool stats g.txt\n"
-      "--plan=core-truss`, `tsdtool topr g.txt --method=bound --plan=jacobi`).\n"
-      "Every plan produces bit-identical trussness — auto picks from the\n"
-      "tuner statistics that `stats` prints; core-truss prunes core-bounded\n"
-      "edges before triangle counting when a query needs only trussness>=k.\n";
+      "--plan={auto,bsp,core-truss} picks the truss preprocess (e.g.\n"
+      "`tsdtool topr g.txt --method=bound --plan=core-truss`). Every plan\n"
+      "runs the same support peel and produces bit-identical output;\n"
+      "core-truss adds a core-number prefilter that prunes edges before\n"
+      "triangle counting when the bound method needs only the (k+1)-truss,\n"
+      "and auto picks it on skewed graphs from the tuner statistics that\n"
+      "`stats` prints.\n";
   return 2;
 }
 
@@ -380,7 +381,6 @@ int RunStats(const Graph& g, const Flags& flags) {
   std::cerr << "plan: " << TrussPlanAlgorithmName(ps.requested)
             << " -> " << TrussPlanAlgorithmName(ps.algorithm)
             << (ps.bitmap_kernel ? " (bitmap support kernel)" : "")
-            << ", edges pruned: " << ps.edges_pruned
             << ", decomposition time: " << HumanSeconds(decompose_seconds)
             << "\n";
   return 0;
