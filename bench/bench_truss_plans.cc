@@ -36,7 +36,8 @@ int Run(int argc, char** argv) {
   // support count and peel here (the core prefilter only prunes above floor
   // 2), so the rows differ by noise alone.
   const std::uint32_t threads =
-      static_cast<std::uint32_t>(flags.GetInt("threads", 4));
+      static_cast<std::uint32_t>(
+          flags.GetIntInRange("threads", 4, 1, kMaxThreadsFlag));
   std::cout << "Full decomposition (" << threads << " threads):\n";
   TablePrinter full({"plan", "resolved", "kernel", "time"});
   const ParallelConfig config{threads, 0};

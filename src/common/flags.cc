@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -44,6 +45,19 @@ std::int64_t Flags::GetInt(const std::string& name,
   TSD_CHECK_MSG(end != nullptr && *end == '\0',
                 "flag --" << name << " is not an integer: " << it->second);
   return v;
+}
+
+std::int64_t Flags::GetIntInRange(const std::string& name,
+                                  std::int64_t default_value,
+                                  std::int64_t min, std::int64_t max) const {
+  const std::int64_t value = GetInt(name, default_value);
+  if (value < min || value > max) {
+    // The raw text, since strtoll saturates a value past the int64 range.
+    throw FlagError("--" + name + " must be an integer in [" +
+                    std::to_string(min) + ", " + std::to_string(max) +
+                    "] (got " + GetString(name, "") + ")");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {

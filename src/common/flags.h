@@ -9,7 +9,16 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+
 namespace tsd {
+
+/// A flag value out of its accepted range. what() is the whole one-line
+/// diagnostic, e.g. "--threads must be an integer in [1, 1024] (got 0)".
+class FlagError : public CheckError {
+ public:
+  using CheckError::CheckError;
+};
 
 /// Parsed command line: registered typed lookups over "--key=value" pairs.
 class Flags {
@@ -23,6 +32,11 @@ class Flags {
                         const std::string& default_value) const;
   std::int64_t GetInt(const std::string& name,
                       std::int64_t default_value) const;
+  /// GetInt that throws FlagError when the value lies outside [min, max],
+  /// so an out-of-range count fails loudly instead of wrapping in a cast.
+  std::int64_t GetIntInRange(const std::string& name,
+                             std::int64_t default_value, std::int64_t min,
+                             std::int64_t max) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 

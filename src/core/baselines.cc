@@ -1,7 +1,6 @@
 #include "core/baselines.h"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_set>
 
 #include "common/rng.h"
@@ -26,23 +25,19 @@ TopRResult DegreeBoundedTopR(QueryPipeline& pipeline, const Graph& graph,
   const VertexId n = graph.num_vertices();
 
   // Degree bound: each context needs at least `divisor` members.
-  std::vector<std::uint32_t> bounds;
-  pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-    return graph.degree(v) / divisor;
-  });
-
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
+  std::vector<std::uint32_t> bounds(n);
+  pipeline.ForEach(n, [&](QueryWorkspace&, std::uint64_t v) {
+    bounds[v] = graph.degree(static_cast<VertexId>(v)) / divisor;
   });
 
   TopRCollector collector(r);
+  TopRCollector* const collectors[] = {&collector};
   {
     ScopedTimer t(&result.stats.score_seconds);
     result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [&](QueryWorkspace& ws, VertexId v) {
-          return score_fn(ws.ExtractEgo(v), /*want_contexts=*/false).score;
+        bounds, collectors,
+        [&](QueryWorkspace& ws, VertexId v, std::uint32_t* score) {
+          *score = score_fn(ws.ExtractEgo(v), /*want_contexts=*/false).score;
         });
   }
   {

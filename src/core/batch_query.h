@@ -58,43 +58,24 @@ class BatchQueryRunner {
   template <typename ThresholdScoreFn>
   std::uint64_t Scan(QueryPipeline& pipeline, VertexId num_candidates,
                      ThresholdScoreFn&& fn) {
-    return pipeline.ScoreRangeMulti(
-        num_candidates, collector_ptrs_,
-        [this, &fn](QueryWorkspace& ws, VertexId v, std::uint32_t* scores) {
-          std::vector<std::uint32_t>& per_k = ws.u32_scratch();
-          per_k.resize(thresholds_.size());
-          fn(ws, v, per_k.data());
-          for (std::size_t q = 0; q < queries_.size(); ++q) {
-            scores[q] = per_k[k_index_[q]];
-          }
-        });
+    return pipeline.ScoreRange(num_candidates, collector_ptrs_, FanOut(fn));
   }
 
   /// Bound-ordered variant of Scan (the Algorithm 4 discipline for the
-  /// whole batch): `bounds[v]` must upper-bound v's score at EVERY
-  /// requested threshold — the bound evaluated at the smallest requested k
-  /// suffices, because Lemma 2's bound min(d/k, m_v/C(k,2)) is
-  /// non-increasing in k, even though scores themselves are not monotone
-  /// (contexts can split as k grows) — and `order` must visit candidates
-  /// by non-increasing bound. The scan stops as soon as every
-  /// query's collector can prune the remaining range. Entries are
-  /// bit-identical to Scan (pruning is conservative per collector); only
-  /// the number of scored candidates changes.
+  /// whole batch) over [0, bounds.size()): `bounds[v]` must upper-bound v's
+  /// score at EVERY requested threshold — the bound evaluated at the
+  /// smallest requested k suffices, because Lemma 2's bound min(d/k,
+  /// m_v/C(k,2)) is non-increasing in k, even though scores themselves are
+  /// not monotone (contexts can split as k grows). The pipeline visits
+  /// candidates by non-increasing bound and stops as soon as every query's
+  /// collector can prune the remaining range. Entries are bit-identical to
+  /// Scan (pruning is conservative per collector); only the number of
+  /// scored candidates changes.
   template <typename ThresholdScoreFn>
   std::uint64_t ScanOrdered(QueryPipeline& pipeline,
-                            std::span<const VertexId> order,
                             std::span<const std::uint32_t> bounds,
                             ThresholdScoreFn&& fn) {
-    return pipeline.ScoreOrderedMulti(
-        order, bounds, collector_ptrs_,
-        [this, &fn](QueryWorkspace& ws, VertexId v, std::uint32_t* scores) {
-          std::vector<std::uint32_t>& per_k = ws.u32_scratch();
-          per_k.resize(thresholds_.size());
-          fn(ws, v, per_k.data());
-          for (std::size_t q = 0; q < queries_.size(); ++q) {
-            scores[q] = per_k[k_index_[q]];
-          }
-        });
+    return pipeline.ScoreOrdered(bounds, collector_ptrs_, FanOut(fn));
   }
 
   /// Whether a bound-ordered scan over `num_candidates` can pay for its
@@ -171,6 +152,21 @@ class BatchQueryRunner {
   }
 
  private:
+  /// Wraps a per-threshold kernel as the pipeline's per-query one: `fn`
+  /// scores every threshold into workspace scratch, then each query takes
+  /// its threshold's score.
+  template <typename ThresholdScoreFn>
+  auto FanOut(ThresholdScoreFn& fn) const {
+    return [this, &fn](QueryWorkspace& ws, VertexId v, std::uint32_t* scores) {
+      std::vector<std::uint32_t>& per_k = ws.u32_scratch();
+      per_k.resize(thresholds_.size());
+      fn(ws, v, per_k.data());
+      for (std::size_t q = 0; q < queries_.size(); ++q) {
+        scores[q] = per_k[k_index_[q]];
+      }
+    };
+  }
+
   std::vector<BatchQuery> queries_;
   std::vector<std::uint32_t> thresholds_;  // distinct ks, descending
   std::vector<std::uint32_t> k_index_;     // per query, into thresholds_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "common/timer.h"
 #include "core/batch_query.h"
@@ -102,27 +101,22 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
     result.stats.edges_pruned = truss_stats.edges_pruned;
     result.stats.edges_recounted = truss_stats.edges_recounted;
     pipeline.Rebind(reduced);
-    pipeline.MapScores(reduced.num_vertices(), &bounds,
-                       [&](QueryWorkspace&, VertexId v) {
-                         return UpperBound(reduced.degree(v), ego_edges[v], k);
-                       });
+    bounds.resize(reduced.num_vertices());
+    pipeline.ForEach(bounds.size(), [&](QueryWorkspace&, std::uint64_t v) {
+      bounds[v] = UpperBound(reduced.degree(static_cast<VertexId>(v)),
+                             ego_edges[v], k);
+    });
   }
 
-  // Candidates in non-increasing bound order (ties by ascending id for
-  // determinism).
-  std::vector<VertexId> order(reduced.num_vertices());
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
-
   TopRCollector collector(r);
+  TopRCollector* const collectors[] = {&collector};
   {
     ScopedTimer t(&result.stats.score_seconds);
     pipeline.TakeEgoEdgesSupported();
     result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [k](QueryWorkspace& ws, VertexId v) {
-          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/false).score;
+        bounds, collectors,
+        [k](QueryWorkspace& ws, VertexId v, std::uint32_t* score) {
+          *score = ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/false).score;
         });
     result.stats.ego_edges_supported = pipeline.TakeEgoEdgesSupported();
   }
@@ -161,14 +155,14 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
   const std::uint32_t k_min = runner.thresholds().back();
   Graph reduced;
   std::vector<std::uint32_t> bounds;
-  std::vector<VertexId> order;
   // When every query's r is small, one shared bound order prunes most of
   // the per-candidate ego decompositions: the Lemma 2 bound min(d/k,
   // m_v/C(k,2)) is non-increasing in k, so evaluating it at the smallest
   // requested k upper-bounds every query's score and the ordered scan can
   // stop once every collector prunes. With large r nearly every candidate
-  // gets scored anyway, so the m_v counting pass and the O(n log n) sort
-  // would not pay for themselves. Entries are bit-identical either way.
+  // gets scored anyway, so the m_v counting pass and the scan's O(n log n)
+  // sort would not pay for themselves. Entries are bit-identical either
+  // way.
   const bool ordered = runner.PrefersOrderedScan(graph_.num_vertices());
   {
     ScopedTimer t(&stats.preprocess_seconds);
@@ -181,16 +175,11 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
     stats.edges_recounted = truss_stats.edges_recounted;
     pipeline.Rebind(reduced);
     if (ordered) {
-      pipeline.MapScores(
-          reduced.num_vertices(), &bounds, [&](QueryWorkspace&, VertexId v) {
-            return UpperBound(reduced.degree(v), ego_edges[v], k_min);
-          });
-      order.resize(reduced.num_vertices());
-      std::iota(order.begin(), order.end(), 0U);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](VertexId a, VertexId b) {
-                         return bounds[a] > bounds[b];
-                       });
+      bounds.resize(reduced.num_vertices());
+      pipeline.ForEach(bounds.size(), [&](QueryWorkspace&, std::uint64_t v) {
+        bounds[v] = UpperBound(reduced.degree(static_cast<VertexId>(v)),
+                               ego_edges[v], k_min);
+      });
     }
   }
 
@@ -201,7 +190,7 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
     ScopedTimer t(&stats.score_seconds);
     stats.vertices_scored =
         ordered ? runner.ScanOrdered(
-                      pipeline, order, bounds,
+                      pipeline, bounds,
                       [&runner](QueryWorkspace& ws, VertexId v,
                                 std::uint32_t* out) {
                         EgoNetwork& ego = ws.DecomposeEgo(v);

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -91,26 +90,22 @@ TopRResult ForestTopR(VertexId n, const SliceFn& slice_of, std::uint32_t r,
   // ego-network, so workspaces carry no extractor.
   QueryPipeline& pipeline = session.IndexPipeline();
 
-  std::vector<std::uint32_t> bounds;
+  std::vector<std::uint32_t> bounds(n);
   {
     ScopedTimer t(&result.stats.preprocess_seconds);
-    pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-      return ForestScoreUpperBound(slice_of(v), k);
+    pipeline.ForEach(n, [&](QueryWorkspace&, std::uint64_t v) {
+      bounds[v] = ForestScoreUpperBound(slice_of(static_cast<VertexId>(v)), k);
     });
   }
 
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
-
   TopRCollector collector(r);
+  TopRCollector* const collectors[] = {&collector};
   {
     ScopedTimer t(&result.stats.score_seconds);
     result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [&](QueryWorkspace& ws, VertexId v) {
-          return ForestScore(slice_of(v), k, ws.index_scratch());
+        bounds, collectors,
+        [&](QueryWorkspace& ws, VertexId v, std::uint32_t* score) {
+          *score = ForestScore(slice_of(v), k, ws.index_scratch());
         });
   }
 

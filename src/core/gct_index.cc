@@ -391,11 +391,13 @@ TopRResult GctIndex::TopR(std::uint32_t r, std::uint32_t k,
   // Index-only pipeline: score queries are two binary searches per vertex.
   QueryPipeline& pipeline = session.IndexPipeline();
   TopRCollector collector(r);
+  TopRCollector* const collectors[] = {&collector};
   {
     ScopedTimer t(&result.stats.score_seconds);
     result.stats.vertices_scored = pipeline.ScoreRange(
-        n, &collector,
-        [&](QueryWorkspace&, VertexId v) { return Score(v, k); });
+        n, collectors, [&](QueryWorkspace&, VertexId v, std::uint32_t* score) {
+          *score = Score(v, k);
+        });
   }
   {
     ScopedTimer t(&result.stats.context_seconds);

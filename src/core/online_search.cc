@@ -24,13 +24,14 @@ TopRResult OnlineSearcher::TopR(std::uint32_t r, std::uint32_t k,
   QueryPipeline& pipeline = Pipeline(session);
 
   TopRCollector collector(r);
+  TopRCollector* const collectors[] = {&collector};
   {
     ScopedTimer t(&result.stats.score_seconds);
     pipeline.TakeEgoEdgesSupported();
     result.stats.vertices_scored = pipeline.ScoreRange(
-        graph_.num_vertices(), &collector,
-        [k](QueryWorkspace& ws, VertexId v) {
-          return ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/false).score;
+        graph_.num_vertices(), collectors,
+        [k](QueryWorkspace& ws, VertexId v, std::uint32_t* score) {
+          *score = ws.ScoreEgoAtFloor(v, k, /*want_contexts=*/false).score;
         });
     result.stats.ego_edges_supported = pipeline.TakeEgoEdgesSupported();
   }

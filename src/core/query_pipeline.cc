@@ -71,16 +71,17 @@ std::uint32_t QueryPipeline::ResolveChunks(std::uint64_t total) const {
   return EffectiveChunks(ToParallelConfig(options_), total);
 }
 
-void QueryPipeline::MergeInto(std::vector<TopRCollector>& locals,
-                              TopRCollector* collector) const {
-  // Worker order; the top-r set under the total order is unique, so any
-  // merge order yields the same collector state. The locals die after the
-  // merge, so take their entries instead of copying.
-  for (TopRCollector& local : locals) {
-    for (const auto& [vertex, score] : local.TakeRanked()) {
-      collector->Offer(vertex, score);
+std::vector<QueryPipeline::WorkerLocals> QueryPipeline::MakeLocals(
+    std::span<TopRCollector* const> collectors) const {
+  std::vector<WorkerLocals> locals(options_.num_threads);
+  for (WorkerLocals& local : locals) {
+    local.collectors.reserve(collectors.size());
+    for (const TopRCollector* collector : collectors) {
+      local.collectors.emplace_back(collector->capacity());
     }
+    local.scores.resize(collectors.size());
   }
+  return locals;
 }
 
 QueryPipeline& PipelineCache::For(const Graph& graph, EgoTrussMethod method,
@@ -98,18 +99,14 @@ QueryPipeline& PipelineCache::For(const Graph& graph, EgoTrussMethod method,
 QueryOptions QueryOptionsFromFlags(const Flags& flags) {
   QueryOptions options;
   options.num_threads = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, flags.GetInt("threads", 1)));
+      flags.GetIntInRange("threads", 1, 1, kMaxThreadsFlag));
   options.num_chunks = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, flags.GetInt("chunks", 0)));
+      flags.GetIntInRange("chunks", 0, 0, UINT32_MAX));
   const std::string plan = flags.GetString("plan", "auto");
   const std::optional<TrussPlanAlgorithm> parsed = ParseTrussPlanAlgorithm(plan);
   TSD_CHECK_MSG(parsed.has_value(),
                 "--plan must be one of auto, bsp, core-truss");
   options.truss_plan = *parsed;
-  options.ramp_base_per_thread = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, flags.GetInt("ramp-base", 4)));
-  options.ramp_growth = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, flags.GetInt("ramp-growth", 2)));
   return options;
 }
 

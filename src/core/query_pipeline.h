@@ -10,6 +10,14 @@
 // steady-state hot path performs no heap allocation: every buffer a kernel
 // needs lives in the workspace and is reused vertex to vertex.
 //
+// Four entry points cover every searcher: ScoreRange scores a whole
+// candidate range, ScoreOrdered scores candidates in the order of their
+// upper bounds and stops once no remaining bound can enter the top r (the
+// paper's Algorithms 4 and 6), ForEach runs any per-item loop (bound
+// passes, grouped contexts), and MaterializeEntries fills the winners'
+// contexts. Both scans feed a span of collectors, one per query, so a
+// single query and a batch share one kernel.
+//
 // Determinism: the top-r answer set under the library-wide total order
 // (score desc, id asc) is unique, so per-worker collectors merged in worker
 // order yield rankings bit-identical to the sequential scan at any thread
@@ -23,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -152,54 +161,32 @@ class QueryPipeline {
     return *workspaces_[worker];
   }
 
-  /// Scores every vertex in [0, num_candidates) with
-  /// `fn(workspace, v) -> std::uint32_t` and offers all results into
-  /// `collector`. Returns the number of vertices scored (== num_candidates).
+  /// Scores every vertex in [0, num_candidates) for every query at once:
+  /// `fn(workspace, v, scores)` fills scores[q] for each q in
+  /// [0, collectors.size()), and each score is offered into collectors[q].
+  /// A single query passes a one-element span. Because the top-r set under
+  /// the total order is unique, each collector ends bit-identical to a
+  /// sequential pass at any thread count. Returns the number of vertices
+  /// scored (== num_candidates, or 0 with no collectors).
   template <typename ScoreFn>
-  std::uint64_t ScoreRange(VertexId num_candidates, TopRCollector* collector,
+  std::uint64_t ScoreRange(VertexId num_candidates,
+                           std::span<TopRCollector* const> collectors,
                            ScoreFn&& fn);
 
-  /// Bound-ordered scan with early termination (Algorithm 4 discipline):
-  /// visits `order` front to back — callers pass candidates sorted by
-  /// non-increasing `bounds[v]` — and stops once no remaining candidate can
-  /// displace the current r-th answer. Sequential runs prune per vertex;
-  /// parallel runs prune between rounds of one chunk per worker. Returns
-  /// the number of candidates exactly scored.
-  template <typename ScoreFn>
-  std::uint64_t ScoreOrdered(std::span<const VertexId> order,
-                             std::span<const std::uint32_t> bounds,
-                             TopRCollector* collector, ScoreFn&& fn);
-
-  /// Batch analogue of ScoreOrdered: visits `order` front to back —
-  /// candidates sorted by non-increasing `bounds[v]`, where bounds[v] must
-  /// upper-bound v's score for EVERY collector's query — and stops once
-  /// every collector can prune the remaining range. Because the shared
-  /// bound dominates each query's own bound, a skipped candidate could not
-  /// have displaced any query's r-th answer, so each collector ends
-  /// bit-identical to a full ScoreRangeMulti pass. Returns the number of
+  /// Bound-ordered scan with early termination (Algorithm 4 discipline)
+  /// over [0, bounds.size()): visits candidates by non-increasing
+  /// bounds[v], ties by ascending id, and stops once every collector can
+  /// prune the remaining range. bounds[v] must upper-bound v's score for
+  /// EVERY collector's query, so a skipped candidate could not have
+  /// displaced any query's r-th answer and each collector ends
+  /// bit-identical to a full ScoreRange pass. Sequential runs prune per
+  /// vertex; parallel runs prune between rounds of geometrically growing
+  /// size (kRampBasePerThread). `fn` is ScoreRange's. Returns the number of
   /// candidates exactly scored.
-  template <typename MultiScoreFn>
-  std::uint64_t ScoreOrderedMulti(std::span<const VertexId> order,
-                                  std::span<const std::uint32_t> bounds,
-                                  std::span<TopRCollector* const> collectors,
-                                  MultiScoreFn&& fn);
-
-  /// Batch variant of ScoreRange: one pass over [0, num_candidates) scoring
-  /// every vertex for all queries at once. `fn(workspace, v, scores)` fills
-  /// scores[q] for each q in [0, collectors.size()); each score is offered
-  /// into collectors[q]. Because the top-r set under the total order is
-  /// unique, each collector ends bit-identical to a dedicated ScoreRange
-  /// pass offering the same per-vertex scores, at any thread count.
-  template <typename MultiScoreFn>
-  std::uint64_t ScoreRangeMulti(VertexId num_candidates,
-                                std::span<TopRCollector* const> collectors,
-                                MultiScoreFn&& fn);
-
-  /// Parallel per-vertex map `fn(workspace, v) -> std::uint32_t` into
-  /// `(*out)[v]` for v in [0, num_candidates) — the bound-computation pass.
-  template <typename MapFn>
-  void MapScores(VertexId num_candidates, std::vector<std::uint32_t>* out,
-                 MapFn&& fn);
+  template <typename ScoreFn>
+  std::uint64_t ScoreOrdered(std::span<const std::uint32_t> bounds,
+                             std::span<TopRCollector* const> collectors,
+                             ScoreFn&& fn);
 
   /// Parallel loop `fn(workspace, i)` over i in [0, num_items) with one
   /// workspace per worker. Deterministic as long as distinct items write
@@ -218,9 +205,35 @@ class QueryPipeline {
       std::vector<TopREntry>* entries, ContextFn&& fn);
 
  private:
+  /// Round sizes of ScoreOrdered's parallel scan: the first round scores
+  /// max(threads × kRampBasePerThread, largest r) candidates, so a search
+  /// that stops after a handful (Example 3 scores exactly one vertex) does
+  /// not pay for a chunk per worker, and each later round is kRampGrowth
+  /// times larger, which bounds the number of round barriers on long scans.
+  static constexpr std::uint64_t kRampBasePerThread = 4;
+  static constexpr std::uint64_t kRampGrowth = 2;
+
+  /// One worker's local collector and score staging per query.
+  struct WorkerLocals {
+    std::vector<TopRCollector> collectors;
+    std::vector<std::uint32_t> scores;
+  };
+
   std::uint32_t ResolveChunks(std::uint64_t total) const;
-  void MergeInto(std::vector<TopRCollector>& locals,
-                 TopRCollector* collector) const;
+
+  /// Locals for every worker, sized to `collectors`.
+  std::vector<WorkerLocals> MakeLocals(
+      std::span<TopRCollector* const> collectors) const;
+
+  /// The parallel step of both scans: scores vertex_at(i) for i in
+  /// [0, count), split into `num_chunks` chunks, into the workers' locals,
+  /// then merges every query's locals into its collector in worker order
+  /// (TakeRanked leaves the locals empty for the next round).
+  template <typename VertexAt, typename ScoreFn>
+  void ScoreChunks(std::uint64_t count, std::uint32_t num_chunks,
+                   const VertexAt& vertex_at,
+                   std::span<TopRCollector* const> collectors,
+                   std::vector<WorkerLocals>& locals, ScoreFn& fn);
 
   QueryOptions options_;
   // unique_ptr keeps workspace addresses stable and sidesteps copying the
@@ -243,8 +256,14 @@ class PipelineCache {
   EgoTrussMethod cached_method_ = EgoTrussMethod::kAuto;
 };
 
-/// Reads the canonical --threads / --chunks pipeline knobs (shared by
-/// tsdtool and every query benchmark; values clamped to sane ranges).
+/// Largest --threads (and tsdtool serve --shards) value the flag readers
+/// accept: each worker costs an OS thread and a workspace with an n-sized
+/// mark array, so a mistyped count must fail instead of exhausting memory.
+inline constexpr std::int64_t kMaxThreadsFlag = 1024;
+
+/// Reads the canonical --threads / --chunks / --plan pipeline knobs (shared
+/// by tsdtool and every query benchmark). Throws FlagError when --threads
+/// is outside [1, kMaxThreadsFlag] or --chunks outside [0, UINT32_MAX].
 QueryOptions QueryOptionsFromFlags(const Flags& flags);
 
 /// The preprocessing-layer view of the same knobs: graph/truss kernels
@@ -258,105 +277,74 @@ inline ParallelConfig ToParallelConfig(const QueryOptions& options) {
 // ---------------------------------------------------------------------------
 // Template implementations.
 
-template <typename ScoreFn>
-std::uint64_t QueryPipeline::ScoreRange(VertexId num_candidates,
-                                        TopRCollector* collector,
-                                        ScoreFn&& fn) {
-  if (options_.num_threads == 1) {
-    QueryWorkspace& ws = *workspaces_[0];
-    for (VertexId v = 0; v < num_candidates; ++v) {
-      collector->Offer(v, fn(ws, v));
-    }
-    return num_candidates;
-  }
-
-  std::vector<TopRCollector> locals(options_.num_threads,
-                                    TopRCollector(collector->capacity()));
+template <typename VertexAt, typename ScoreFn>
+void QueryPipeline::ScoreChunks(std::uint64_t count, std::uint32_t num_chunks,
+                                const VertexAt& vertex_at,
+                                std::span<TopRCollector* const> collectors,
+                                std::vector<WorkerLocals>& locals,
+                                ScoreFn& fn) {
   ParallelForChunksIndexed(
-      num_candidates, ResolveChunks(num_candidates), options_.num_threads,
+      count, num_chunks, options_.num_threads,
       [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
           std::uint64_t end) {
         QueryWorkspace& ws = *workspaces_[worker];
-        TopRCollector& local = locals[worker];
-        for (std::uint64_t v = begin; v < end; ++v) {
-          local.Offer(static_cast<VertexId>(v),
-                      fn(ws, static_cast<VertexId>(v)));
+        WorkerLocals& local = locals[worker];
+        for (std::uint64_t i = begin; i < end; ++i) {
+          const VertexId v = vertex_at(i);
+          fn(ws, v, local.scores.data());
+          for (std::size_t q = 0; q < collectors.size(); ++q) {
+            local.collectors[q].Offer(v, local.scores[q]);
+          }
         }
       });
-  MergeInto(locals, collector);
+  // Any merge order yields the same collector state, because the top-r set
+  // under the total order is unique.
+  for (std::size_t q = 0; q < collectors.size(); ++q) {
+    for (WorkerLocals& local : locals) {
+      for (const auto& [vertex, score] : local.collectors[q].TakeRanked()) {
+        collectors[q]->Offer(vertex, score);
+      }
+    }
+  }
+}
+
+template <typename ScoreFn>
+std::uint64_t QueryPipeline::ScoreRange(
+    VertexId num_candidates, std::span<TopRCollector* const> collectors,
+    ScoreFn&& fn) {
+  if (collectors.empty()) return 0;
+  if (options_.num_threads == 1) {
+    QueryWorkspace& ws = *workspaces_[0];
+    std::vector<std::uint32_t> scores(collectors.size());
+    for (VertexId v = 0; v < num_candidates; ++v) {
+      fn(ws, v, scores.data());
+      for (std::size_t q = 0; q < collectors.size(); ++q) {
+        collectors[q]->Offer(v, scores[q]);
+      }
+    }
+    return num_candidates;
+  }
+  std::vector<WorkerLocals> locals = MakeLocals(collectors);
+  ScoreChunks(
+      num_candidates, ResolveChunks(num_candidates),
+      [](std::uint64_t i) { return static_cast<VertexId>(i); }, collectors,
+      locals, fn);
   return num_candidates;
 }
 
 template <typename ScoreFn>
-std::uint64_t QueryPipeline::ScoreOrdered(std::span<const VertexId> order,
-                                          std::span<const std::uint32_t> bounds,
-                                          TopRCollector* collector,
-                                          ScoreFn&& fn) {
-  std::uint64_t scored = 0;
-  if (options_.num_threads == 1) {
-    QueryWorkspace& ws = *workspaces_[0];
-    for (VertexId v : order) {
-      if (collector->CanPrune(bounds[v], v)) break;  // early termination
-      collector->Offer(v, fn(ws, v));
-      ++scored;
-    }
-    return scored;
-  }
-
-  // Rounds of work split across the workers; the termination check runs
-  // between rounds against the merged collector. Candidates are
-  // bound-sorted, so checking the first candidate of a round covers the
-  // whole round. Round sizes ramp geometrically under the QueryOptions
-  // ramp knobs: the first rounds stay small so a search that terminates
-  // after a handful of candidates (r small, bounds tight — Example 3
-  // scores exactly one vertex) does not pay for a full chunk per worker,
-  // while long scans quickly reach full chunk-sized rounds.
-  const std::uint32_t num_threads = options_.num_threads;
-  const std::uint64_t total = order.size();
-  const std::uint64_t chunk_size =
-      (total + ResolveChunks(total) - 1) / ResolveChunks(total);
-  const std::uint64_t max_round_size =
-      std::max<std::uint64_t>(chunk_size * num_threads, num_threads);
-  const std::uint64_t growth =
-      std::max<std::uint64_t>(1, options_.ramp_growth);
-  std::uint64_t round_size = std::min<std::uint64_t>(
-      max_round_size,
-      std::max<std::uint64_t>(
-          std::uint64_t{num_threads} *
-              std::max<std::uint32_t>(1, options_.ramp_base_per_thread),
-          collector->capacity()));
-  std::vector<TopRCollector> locals;
-  std::uint64_t round_begin = 0;
-  while (round_begin < total) {
-    const VertexId first = order[round_begin];
-    if (collector->CanPrune(bounds[first], first)) break;
-    const std::uint64_t round_end = std::min(total, round_begin + round_size);
-    locals.assign(num_threads, TopRCollector(collector->capacity()));
-    ParallelForChunksIndexed(
-        round_end - round_begin, num_threads, num_threads,
-        [&](std::uint32_t worker, std::uint32_t /*chunk*/,
-            std::uint64_t begin, std::uint64_t end) {
-          QueryWorkspace& ws = *workspaces_[worker];
-          TopRCollector& local = locals[worker];
-          for (std::uint64_t i = begin; i < end; ++i) {
-            const VertexId v = order[round_begin + i];
-            local.Offer(v, fn(ws, v));
-          }
-        });
-    MergeInto(locals, collector);
-    scored += round_end - round_begin;
-    round_begin = round_end;
-    round_size = std::min(max_round_size, round_size * growth);
-  }
-  return scored;
-}
-
-template <typename MultiScoreFn>
-std::uint64_t QueryPipeline::ScoreOrderedMulti(
-    std::span<const VertexId> order, std::span<const std::uint32_t> bounds,
-    std::span<TopRCollector* const> collectors, MultiScoreFn&& fn) {
-  const std::size_t num_queries = collectors.size();
-  if (num_queries == 0) return 0;
+std::uint64_t QueryPipeline::ScoreOrdered(
+    std::span<const std::uint32_t> bounds,
+    std::span<TopRCollector* const> collectors, ScoreFn&& fn) {
+  if (collectors.empty()) return 0;
+  // Stable, so ties keep ascending id. On the many equal bounds of a real
+  // bound array this merge sort runs 3–4x faster than an introsort with an
+  // explicit id tie-break.
+  std::vector<VertexId> order(bounds.size());
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return bounds[a] > bounds[b];
+  });
   const auto all_can_prune = [&](VertexId v) {
     for (TopRCollector* collector : collectors) {
       if (!collector->CanPrune(bounds[v], v)) return false;
@@ -367,11 +355,11 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
   std::uint64_t scored = 0;
   if (options_.num_threads == 1) {
     QueryWorkspace& ws = *workspaces_[0];
-    std::vector<std::uint32_t> scores(num_queries);
+    std::vector<std::uint32_t> scores(collectors.size());
     for (VertexId v : order) {
-      if (all_can_prune(v)) break;  // early termination for the whole batch
+      if (all_can_prune(v)) break;  // early termination
       fn(ws, v, scores.data());
-      for (std::size_t q = 0; q < num_queries; ++q) {
+      for (std::size_t q = 0; q < collectors.size(); ++q) {
         collectors[q]->Offer(v, scores[q]);
       }
       ++scored;
@@ -379,138 +367,36 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
     return scored;
   }
 
-  // Same round discipline as ScoreOrdered, with the per-(worker, query)
-  // local collectors of ScoreRangeMulti; the between-round termination
-  // check asks every collector before continuing.
+  // Rounds of one chunk per worker; the termination check runs between
+  // rounds against the merged collectors. Candidates are bound-sorted, so
+  // checking the first candidate of a round covers the whole round.
   const std::uint32_t num_threads = options_.num_threads;
   const std::uint64_t total = order.size();
   const std::uint64_t chunk_size =
       (total + ResolveChunks(total) - 1) / ResolveChunks(total);
   const std::uint64_t max_round_size =
       std::max<std::uint64_t>(chunk_size * num_threads, num_threads);
-  const std::uint64_t growth =
-      std::max<std::uint64_t>(1, options_.ramp_growth);
   std::uint64_t max_capacity = 0;
   for (TopRCollector* collector : collectors) {
     max_capacity = std::max<std::uint64_t>(max_capacity, collector->capacity());
   }
   std::uint64_t round_size = std::min<std::uint64_t>(
       max_round_size,
-      std::max<std::uint64_t>(
-          std::uint64_t{num_threads} *
-              std::max<std::uint32_t>(1, options_.ramp_base_per_thread),
-          max_capacity));
-
-  std::vector<std::vector<TopRCollector>> locals(num_threads);
-  std::vector<std::vector<std::uint32_t>> scores(num_threads);
-  for (std::uint32_t t = 0; t < num_threads; ++t) scores[t].resize(num_queries);
+      std::max<std::uint64_t>(num_threads * kRampBasePerThread, max_capacity));
+  std::vector<WorkerLocals> locals = MakeLocals(collectors);
   std::uint64_t round_begin = 0;
   while (round_begin < total) {
-    const VertexId first = order[round_begin];
-    if (all_can_prune(first)) break;
+    if (all_can_prune(order[round_begin])) break;
     const std::uint64_t round_end = std::min(total, round_begin + round_size);
-    for (std::uint32_t t = 0; t < num_threads; ++t) {
-      locals[t].clear();
-      for (std::size_t q = 0; q < num_queries; ++q) {
-        locals[t].emplace_back(collectors[q]->capacity());
-      }
-    }
-    ParallelForChunksIndexed(
-        round_end - round_begin, num_threads, num_threads,
-        [&](std::uint32_t worker, std::uint32_t /*chunk*/,
-            std::uint64_t begin, std::uint64_t end) {
-          QueryWorkspace& ws = *workspaces_[worker];
-          for (std::uint64_t i = begin; i < end; ++i) {
-            const VertexId v = order[round_begin + i];
-            fn(ws, v, scores[worker].data());
-            for (std::size_t q = 0; q < num_queries; ++q) {
-              locals[worker][q].Offer(v, scores[worker][q]);
-            }
-          }
-        });
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      for (std::uint32_t t = 0; t < num_threads; ++t) {
-        for (const auto& [vertex, score] : locals[t][q].TakeRanked()) {
-          collectors[q]->Offer(vertex, score);
-        }
-      }
-    }
+    ScoreChunks(
+        round_end - round_begin, num_threads,
+        [&](std::uint64_t i) { return order[round_begin + i]; }, collectors,
+        locals, fn);
     scored += round_end - round_begin;
     round_begin = round_end;
-    round_size = std::min(max_round_size, round_size * growth);
+    round_size = std::min(max_round_size, round_size * kRampGrowth);
   }
   return scored;
-}
-
-template <typename MultiScoreFn>
-std::uint64_t QueryPipeline::ScoreRangeMulti(
-    VertexId num_candidates, std::span<TopRCollector* const> collectors,
-    MultiScoreFn&& fn) {
-  const std::size_t num_queries = collectors.size();
-  if (num_queries == 0) return 0;
-  if (options_.num_threads == 1) {
-    QueryWorkspace& ws = *workspaces_[0];
-    std::vector<std::uint32_t> scores(num_queries);
-    for (VertexId v = 0; v < num_candidates; ++v) {
-      fn(ws, v, scores.data());
-      for (std::size_t q = 0; q < num_queries; ++q) {
-        collectors[q]->Offer(v, scores[q]);
-      }
-    }
-    return num_candidates;
-  }
-
-  // One local collector per (worker, query); scores staged per worker.
-  std::vector<std::vector<TopRCollector>> locals(options_.num_threads);
-  std::vector<std::vector<std::uint32_t>> scores(options_.num_threads);
-  for (std::uint32_t t = 0; t < options_.num_threads; ++t) {
-    locals[t].reserve(num_queries);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      locals[t].emplace_back(collectors[q]->capacity());
-    }
-    scores[t].resize(num_queries);
-  }
-  ParallelForChunksIndexed(
-      num_candidates, ResolveChunks(num_candidates), options_.num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        QueryWorkspace& ws = *workspaces_[worker];
-        for (std::uint64_t v = begin; v < end; ++v) {
-          fn(ws, static_cast<VertexId>(v), scores[worker].data());
-          for (std::size_t q = 0; q < num_queries; ++q) {
-            locals[worker][q].Offer(static_cast<VertexId>(v),
-                                    scores[worker][q]);
-          }
-        }
-      });
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::uint32_t t = 0; t < options_.num_threads; ++t) {
-      for (const auto& [vertex, score] : locals[t][q].TakeRanked()) {
-        collectors[q]->Offer(vertex, score);
-      }
-    }
-  }
-  return num_candidates;
-}
-
-template <typename MapFn>
-void QueryPipeline::MapScores(VertexId num_candidates,
-                              std::vector<std::uint32_t>* out, MapFn&& fn) {
-  out->resize(num_candidates);
-  if (options_.num_threads == 1) {
-    QueryWorkspace& ws = *workspaces_[0];
-    for (VertexId v = 0; v < num_candidates; ++v) (*out)[v] = fn(ws, v);
-    return;
-  }
-  ParallelForChunksIndexed(
-      num_candidates, ResolveChunks(num_candidates), options_.num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        QueryWorkspace& ws = *workspaces_[worker];
-        for (std::uint64_t v = begin; v < end; ++v) {
-          (*out)[v] = fn(ws, static_cast<VertexId>(v));
-        }
-      });
 }
 
 template <typename ItemFn>
@@ -536,24 +422,12 @@ void QueryPipeline::MaterializeEntries(
   entries->resize(ranked.size());
   // Each winner fills its own rank slot, so output order is deterministic
   // regardless of which worker materializes which entry.
-  auto fill = [&](QueryWorkspace& ws, std::size_t i) {
+  ForEach(ranked.size(), [&](QueryWorkspace& ws, std::uint64_t i) {
     TopREntry& entry = (*entries)[i];
     entry.vertex = ranked[i].first;
     entry.score = ranked[i].second;
     entry.contexts = fn(ws, ranked[i].first);
-  };
-  if (options_.num_threads == 1 || ranked.size() < 2) {
-    QueryWorkspace& ws = *workspaces_[0];
-    for (std::size_t i = 0; i < ranked.size(); ++i) fill(ws, i);
-    return;
-  }
-  ParallelForChunksIndexed(
-      ranked.size(), ResolveChunks(ranked.size()), options_.num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        QueryWorkspace& ws = *workspaces_[worker];
-        for (std::uint64_t i = begin; i < end; ++i) fill(ws, i);
-      });
+  });
 }
 
 }  // namespace tsd

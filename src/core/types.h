@@ -28,7 +28,9 @@ struct TopREntry {
 
 /// Execution knobs for the shared per-vertex query pipeline. Every searcher
 /// honours these via DiversitySearcher::set_query_options; rankings are
-/// bit-identical at any thread count.
+/// bit-identical at any thread count. Only the thread and chunk counts move
+/// SearchStats::vertices_scored, because a parallel bound-ordered scan
+/// prunes between rounds sized from them (QueryPipeline::ScoreOrdered).
 struct QueryOptions {
   /// Worker threads for per-vertex scoring and context materialization.
   std::uint32_t num_threads = 1;
@@ -39,16 +41,6 @@ struct QueryOptions {
   /// searcher's floor peel runs the core prefilter first. Every plan yields
   /// bit-identical results — this is a performance knob (tsdtool --plan).
   TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
-  /// ScoreOrdered round ramp-up: the first parallel round scores
-  /// max(num_threads * ramp_base_per_thread, r) candidates and each
-  /// following round is ramp_growth times larger (capped at one chunking
-  /// unit of the candidate range). Small early rounds stop cheaply when the
-  /// bound order prunes early; the geometric growth bounds the number of
-  /// round barriers when it does not. Defaults from the
-  /// bench_ablation_parallel --ramp sweep. Rankings are bit-identical for
-  /// any setting; only wall time and vertices_scored move.
-  std::uint32_t ramp_base_per_thread = 4;
-  std::uint32_t ramp_growth = 2;
 
   bool operator==(const QueryOptions&) const = default;
 };

@@ -364,6 +364,25 @@ TEST(FlagsTest, RejectsMalformedNumbers) {
   EXPECT_THROW(flags.GetInt("k", 0), CheckError);
 }
 
+TEST(FlagsTest, GetIntInRangeRejectsValuesOutsideTheRange) {
+  const char* argv[] = {"prog", "--low=0", "--high=4294967296", "--ok=7",
+                        "--huge=99999999999999999999"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetIntInRange("ok", 1, 1, 7), 7);
+  EXPECT_EQ(flags.GetIntInRange("missing", 3, 1, 7), 3);
+  EXPECT_THROW(flags.GetIntInRange("low", 1, 1, 7), FlagError);
+  EXPECT_THROW(flags.GetIntInRange("high", 1, 1, UINT32_MAX), FlagError);
+  try {
+    flags.GetIntInRange("huge", 1, 1, 64);
+    FAIL() << "no FlagError";
+  } catch (const FlagError& e) {
+    // The raw text, not the saturated parse.
+    EXPECT_EQ(std::string(e.what()),
+              "--huge must be an integer in [1, 64] (got "
+              "99999999999999999999)");
+  }
+}
+
 // ---------------------------------------------------------------- MpscQueue
 
 TEST(MpscQueueTest, FifoSingleProducer) {

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "core/baselines.h"
+#include "core/batch_query.h"
 #include "core/bound_search.h"
 #include "core/gct_index.h"
 #include "core/hybrid_search.h"
@@ -191,9 +195,9 @@ TEST(QueryPipelineTest, ParallelPruningIsConservative) {
   ExpectSameEntries(sequential, parallel, "figure1 bound threads=4");
 }
 
-// Direct pipeline exercise: ScoreOrdered must honour bound order with both
-// sequential and round-based pruning, and the collector must end up with
-// the smallest-id zero-score answers either way.
+// Direct pipeline exercise: ScoreOrdered builds its own visiting order
+// (bound desc, ties by ascending id) and must honour it with both
+// sequential and round-based pruning.
 TEST(QueryPipelineTest, ScoreOrderedPrunesByBoundOrder) {
   const Graph g = HolmeKim(120, 4, 0.5, 13);
   for (std::uint32_t threads : {1u, 4u}) {
@@ -203,19 +207,141 @@ TEST(QueryPipelineTest, ScoreOrderedPrunesByBoundOrder) {
 
     // Degenerate bounds: all zero. Once the collector holds r zero-score
     // answers with the smallest ids, everything else is prunable.
-    std::vector<VertexId> order(g.num_vertices());
     std::vector<std::uint32_t> bounds(g.num_vertices(), 0);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) order[v] = v;
     TopRCollector collector(3);
+    TopRCollector* const collectors[] = {&collector};
     const std::uint64_t scored = pipeline.ScoreOrdered(
-        order, bounds, &collector,
-        [](QueryWorkspace&, VertexId) { return 0u; });
+        bounds, collectors,
+        [](QueryWorkspace&, VertexId, std::uint32_t* score) { *score = 0; });
     EXPECT_LT(scored, g.num_vertices());
     const auto ranked = collector.Ranked();
     ASSERT_EQ(ranked.size(), 3u);
     EXPECT_EQ(ranked[0].first, 0u);
     EXPECT_EQ(ranked[1].first, 1u);
     EXPECT_EQ(ranked[2].first, 2u);
+  }
+
+  // Scattered bounds with ties: bounds[v] = 7v mod 5 peaks at 4 on the ids
+  // 2, 7, 12, 17, ..., and every score meets its bound. The sequential
+  // scan visits the bound-4 ids in ascending order and stops after three,
+  // because an equal-bound candidate with a larger id cannot displace the
+  // worst answer.
+  std::vector<std::uint32_t> bounds(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) bounds[v] = (7 * v) % 5;
+  for (std::uint32_t threads : {1u, 4u}) {
+    QueryOptions options;
+    options.num_threads = threads;
+    QueryPipeline pipeline(g, EgoTrussMethod::kHash, options);
+    std::vector<VertexId> visited;
+    TopRCollector collector(3);
+    TopRCollector* const collectors[] = {&collector};
+    const std::uint64_t scored = pipeline.ScoreOrdered(
+        bounds, collectors,
+        [&](QueryWorkspace&, VertexId v, std::uint32_t* score) {
+          if (threads == 1) visited.push_back(v);
+          *score = bounds[v];
+        });
+    if (threads == 1) {
+      EXPECT_EQ(scored, 3u);
+      EXPECT_EQ(visited, (std::vector<VertexId>{2, 7, 12}));
+    }
+    EXPECT_EQ(collector.Ranked(),
+              (std::vector<std::pair<VertexId, std::uint32_t>>{
+                  {2, 4}, {7, 4}, {12, 4}}))
+        << "threads=" << threads;
+  }
+}
+
+// The exact sequential search space of every bound-pruned path on the five
+// test graphs: a change to the visiting order, the early-termination test
+// or a bound shows up here as a count, even when the ranking survives.
+TEST(QueryPipelineTest, SequentialSearchSpaceMatchesRecordedCounts) {
+  struct Expected {
+    std::string graph;
+    std::uint32_t k;
+    std::uint32_t r;
+    std::uint64_t bound;
+    std::uint64_t tsd;
+    std::uint64_t comp;
+    std::uint64_t core;
+  };
+  const std::vector<Expected> expected = {
+      {"figure1", 3, 1, 1, 1, 1, 1},       {"figure1", 4, 5, 5, 5, 5, 14},
+      {"figure1", 5, 10, 10, 10, 10, 10},  {"er", 3, 1, 2, 10, 71, 79},
+      {"er", 4, 5, 5, 5, 76, 80},          {"er", 5, 10, 10, 10, 70, 80},
+      {"hk", 3, 1, 31, 40, 172, 102},      {"hk", 4, 5, 10, 13, 102, 69},
+      {"hk", 5, 10, 10, 10, 69, 178},      {"ba", 3, 1, 8, 9, 46, 53},
+      {"ba", 4, 5, 5, 5, 53, 132},         {"ba", 5, 10, 10, 10, 41, 93},
+      {"rmat", 3, 1, 49, 49, 117, 126},    {"rmat", 4, 5, 29, 19, 126, 106},
+      {"rmat", 5, 10, 10, 10, 106, 164},
+  };
+  // Bound SearchBatch of {(3, 1), (5, 1)}: Σr × 64 ≤ n on these graphs, so
+  // it takes the shared bound-ordered scan.
+  const std::map<std::string, std::uint64_t> batch_expected = {
+      {"hk", 55}, {"ba", 26}, {"rmat", 90}};
+  const std::vector<BatchQuery> batch = {{3, 1}, {5, 1}};
+
+  for (const GraphCase& test_case : TestGraphs()) {
+    const Graph& g = test_case.graph;
+    BoundSearcher bound(g);
+    TsdIndex tsd = TsdIndex::Build(g);
+    CompDivSearcher comp(g);
+    CoreDivSearcher core(g);
+    for (const Expected& e : expected) {
+      if (e.graph != test_case.name) continue;
+      const std::string label = e.graph + " k=" + std::to_string(e.k) +
+                                " r=" + std::to_string(e.r);
+      EXPECT_EQ(bound.TopR(e.r, e.k).stats.vertices_scored, e.bound)
+          << "bound " << label;
+      EXPECT_EQ(tsd.TopR(e.r, e.k).stats.vertices_scored, e.tsd)
+          << "tsd " << label;
+      EXPECT_EQ(comp.TopR(e.r, e.k).stats.vertices_scored, e.comp)
+          << "comp " << label;
+      EXPECT_EQ(core.TopR(e.r, e.k).stats.vertices_scored, e.core)
+          << "core " << label;
+    }
+    const auto it = batch_expected.find(test_case.name);
+    if (it == batch_expected.end()) continue;
+    ASSERT_TRUE(BatchQueryRunner(batch).PrefersOrderedScan(g.num_vertices()))
+        << test_case.name;
+    const std::vector<TopRResult> results = bound.SearchBatch(batch);
+    EXPECT_EQ(results[0].stats.vertices_scored, it->second)
+        << "bound batch " << test_case.name;
+  }
+}
+
+// Thread and chunk counts out of range fail with a one-line diagnostic
+// instead of wrapping in a cast, which would turn 4294967296 into 0 threads
+// and 4294967297 into one. Only flags are parsed: no pipeline is built.
+TEST(QueryOptionsFromFlagsTest, RejectsOutOfRangeThreadAndChunkCounts) {
+  const auto parse = [](const std::string& arg) {
+    const char* argv[] = {"prog", arg.c_str()};
+    return QueryOptionsFromFlags(Flags(2, const_cast<char**>(argv)));
+  };
+  EXPECT_EQ(parse("--threads=1").num_threads, 1u);
+  EXPECT_EQ(parse("--threads=" + std::to_string(kMaxThreadsFlag)).num_threads,
+            static_cast<std::uint32_t>(kMaxThreadsFlag));
+  EXPECT_EQ(parse("--chunks=0").num_chunks, 0u);
+  EXPECT_EQ(parse("--chunks=4294967295").num_chunks, UINT32_MAX);
+  const std::vector<std::string> bad_args = {
+      "--threads=0",
+      "--threads=-1",
+      "--threads=4294967296",
+      "--threads=4294967297",
+      "--threads=99999999999999999999",
+      "--threads=" + std::to_string(kMaxThreadsFlag + 1),
+      "--chunks=-1",
+      "--chunks=4294967296"};
+  for (const std::string& bad : bad_args) {
+    EXPECT_THROW(parse(bad), FlagError) << bad;
+  }
+  try {
+    parse("--threads=4294967296");
+    FAIL() << "no FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--threads must be an integer in [1, " +
+                  std::to_string(kMaxThreadsFlag) + "] (got 4294967296)");
   }
 }
 

@@ -519,26 +519,5 @@ TEST(TrussPlanSearcherTest, OrderedBatchScanBitIdenticalToPerQuery) {
   }
 }
 
-// The ScoreOrdered ramp knobs trade round-barrier overhead against
-// overshoot; the ranking is bit-identical for every setting.
-TEST(TrussPlanSearcherTest, RampOptionsDoNotChangeResults) {
-  const Graph g = HolmeKim(250, 5, 0.6, 4);
-  BoundSearcher reference(g);
-  const TopRResult expected = reference.TopR(10, 4);
-  for (const std::uint32_t base : {1u, 2u, 16u}) {
-    for (const std::uint32_t growth : {2u, 4u}) {
-      BoundSearcher searcher(g);
-      QueryOptions options;
-      options.num_threads = 4;
-      options.ramp_base_per_thread = base;
-      options.ramp_growth = growth;
-      searcher.set_query_options(options);
-      ExpectSameEntries(searcher.TopR(10, 4), expected,
-                        "base=" + std::to_string(base) + " growth=" +
-                            std::to_string(growth));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tsd

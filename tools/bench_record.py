@@ -5,6 +5,7 @@
         --workloads live_updates,query_tsd --pairs 10 [--seconds 12] \\
         [--seed 7] [--trace 0] [--build-root DIR]
     python3 tools/bench_record.py --check BENCH_16.json [...]
+    python3 tools/bench_record.py --compare BENCH_16.json
 
 Recording runs `perfbench/run.py` from the repository root of this tree
 (the change) and from PATH (a checkout of the parent commit, e.g. made with
@@ -21,6 +22,12 @@ on time.
 --check only validates files: they must parse, and every record must name a
 workload and a metric (end-to-end or per-layer) that BENCHMARK.json
 declares.
+
+--compare prints, for every end-to-end record of one file, the change of
+the median relative to the parent median next to the parent's IQR relative
+to its median and the pairs the change won, and marks each relative change
+that is worse than the metric's BENCHMARK.json bound. It exits 1 when any
+is.
 """
 
 import argparse
@@ -181,9 +188,45 @@ def check(paths):
     return 1 if errors else 0
 
 
+def compare(path):
+    with open(path) as f:
+        data = json.load(f)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bounds = {m["name"]: m["bound"]
+                  for m in json.load(f)["end_to_end"]}
+    header = ("workload", "seed", "trace", "metric", "parent", "change",
+              "delta", "parent iqr", "won", "")
+    rows = []
+    past = 0
+    for entry in data["records"]:
+        name = entry["metric"]
+        if name not in bounds:
+            continue
+        parent, change = entry["parent"], entry["change"]
+        base = parent["median"]
+        delta = (change["median"] - base) / base if base else 0.0
+        worse = delta if entry["better"] == "lower" else -delta
+        flag = f"past bound {bounds[name]:.0%}" if worse > bounds[name] else ""
+        past += bool(flag)
+        rows.append((entry["workload"], str(entry["seed"]),
+                     str(entry["trace"]), name, f"{base:.4g}",
+                     f"{change['median']:.4g}", f"{delta:+.1%}",
+                     f"{parent['iqr'] / base:.1%}" if base else "-",
+                     f"{entry['change_better_pairs']}/{change['n']}", flag))
+    widths = [max(len(row[i]) for row in [header] + rows)
+              for i in range(len(header))]
+    for row in [header] + rows:
+        print("  ".join(cell.ljust(width)
+                        for cell, width in zip(row, widths)).rstrip())
+    log(f"{path}: {past} of {len(rows)} end-to-end ratios past their bound")
+    return 1 if past else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", nargs="+", metavar="FILE")
+    parser.add_argument("--compare", metavar="FILE",
+                        help="print each end-to-end change against its bound")
     parser.add_argument("--parent", help="checkout of the parent commit")
     parser.add_argument("--out", help="BENCH_<n>.json to write")
     parser.add_argument("--append", action="store_true",
@@ -198,6 +241,8 @@ def main():
     args = parser.parse_args()
     if args.check:
         return check(args.check)
+    if args.compare:
+        return compare(args.compare)
     if not (args.parent and args.out and args.workloads):
         parser.error("recording needs --parent, --out and --workloads")
     return record(args)

@@ -132,7 +132,9 @@ int Usage() {
       "preprocessing stages: the global truss decomposition behind stats and\n"
       "the bound method, triangle counting, and index construction (build).\n"
       "Output is identical at any thread count; --chunks=M tunes load\n"
-      "balancing. Results go to stdout, diagnostics to stderr.\n"
+      "balancing. --threads and --shards accept 1 to "
+      << kMaxThreadsFlag << "; an out-of-range\n"
+      "value is an error. Results go to stdout, diagnostics to stderr.\n"
       "--plan={auto,bsp,core-truss} picks the truss preprocess (e.g.\n"
       "`tsdtool topr g.txt --method=bound --plan=core-truss`). Every plan\n"
       "runs the same support peel and produces bit-identical output;\n"
@@ -303,47 +305,33 @@ std::vector<std::uint32_t> ParseUintList(const std::string& text) {
 constexpr std::uint32_t kMinK = 2;
 constexpr std::uint32_t kMinR = 1;
 
-/// Prints the one-line diagnostic for a query parameter out of range.
-void BadQueryParameter(const std::string& name, std::uint32_t min,
-                       const std::string& value) {
-  std::cerr << "error: --" << name << " must be an integer in [" << min
-            << ", " << UINT32_MAX << "] (got " << value << ")\n";
-}
-
-/// Reads an integer query parameter (--k, --r) into `*out`, or returns
-/// false after printing a diagnostic when it is below `min` or above
-/// UINT32_MAX — a negative value must not wrap into a huge unsigned one.
-bool ReadQueryParameter(const Flags& flags, const std::string& name,
-                        std::int64_t default_value, std::uint32_t min,
-                        std::uint32_t* out) {
-  const std::int64_t value = flags.GetInt(name, default_value);
-  if (value < min || value > std::int64_t{UINT32_MAX}) {
-    BadQueryParameter(name, min, std::to_string(value));
-    return false;
-  }
-  *out = static_cast<std::uint32_t>(value);
-  return true;
+/// Reads an integer query parameter (--k, --r): a value below `min` or
+/// above UINT32_MAX throws FlagError, so a negative value cannot wrap into
+/// a huge unsigned one.
+std::uint32_t ReadQueryParameter(const Flags& flags, const std::string& name,
+                                 std::int64_t default_value,
+                                 std::uint32_t min) {
+  return static_cast<std::uint32_t>(
+      flags.GetIntInRange(name, default_value, min, UINT32_MAX));
 }
 
 /// Same for a comma-separated list (batch --k, --r); every entry must be in
 /// range.
-bool ReadQueryParameterList(const Flags& flags, const std::string& name,
-                            const std::string& default_value,
-                            std::uint32_t min,
-                            std::vector<std::uint32_t>* out) {
+std::vector<std::uint32_t> ReadQueryParameterList(
+    const Flags& flags, const std::string& name,
+    const std::string& default_value, std::uint32_t min) {
   const std::string text = flags.GetString(name, default_value);
-  if (text.find('-') != std::string::npos) {
-    BadQueryParameter(name, min, text);
-    return false;
+  const auto bad = [&] {
+    return FlagError("--" + name + " must be an integer in [" +
+                     std::to_string(min) + ", " + std::to_string(UINT32_MAX) +
+                     "] (got " + text + ")");
+  };
+  if (text.find('-') != std::string::npos) throw bad();
+  std::vector<std::uint32_t> values = ParseUintList(text);
+  for (const std::uint32_t value : values) {
+    if (value < min) throw bad();
   }
-  *out = ParseUintList(text);
-  for (const std::uint32_t value : *out) {
-    if (value < min) {
-      BadQueryParameter(name, min, text);
-      return false;
-    }
-  }
-  return true;
+  return values;
 }
 
 int RunStats(const Graph& g, const Flags& flags) {
@@ -388,17 +376,15 @@ int RunStats(const Graph& g, const Flags& flags) {
 
 int RunTopR(GraphSource& source, const Flags& flags) {
   const Graph& g = source.graph;
-  std::uint32_t k = 0;
-  std::uint32_t r = 0;
-  if (!ReadQueryParameter(flags, "k", 3, kMinK, &k) ||
-      !ReadQueryParameter(flags, "r", 10, kMinR, &r)) {
-    return 2;
-  }
+  const std::uint32_t k = ReadQueryParameter(flags, "k", 3, kMinK);
+  const std::uint32_t r = ReadQueryParameter(flags, "r", 10, kMinR);
   const std::string method = flags.GetString("method", "gct");
 
+  // Read the knobs before building an index, so a bad value fails fast.
+  const QueryOptions query_options = QueryOptionsFromFlags(flags);
   SearcherHolder holder = MakeSearcher(source, method);
   if (holder.active == nullptr) return Usage();
-  holder.active->set_query_options(QueryOptionsFromFlags(flags));
+  holder.active->set_query_options(query_options);
   std::cout << "method: " << holder.active->name() << " k=" << k
             << " r=" << r << "\n";
   PrintTopR(
@@ -410,12 +396,10 @@ int RunTopR(GraphSource& source, const Flags& flags) {
 int RunBatch(GraphSource& source, const Flags& flags) {
   const Graph& g = source.graph;
   TSD_CHECK_MSG(flags.Has("k"), "batch requires --k=<k1,k2,...>");
-  std::vector<std::uint32_t> ks;
-  std::vector<std::uint32_t> rs;
-  if (!ReadQueryParameterList(flags, "k", "", kMinK, &ks) ||
-      !ReadQueryParameterList(flags, "r", "10", kMinR, &rs)) {
-    return 2;
-  }
+  const std::vector<std::uint32_t> ks =
+      ReadQueryParameterList(flags, "k", "", kMinK);
+  const std::vector<std::uint32_t> rs =
+      ReadQueryParameterList(flags, "r", "10", kMinR);
   TSD_CHECK_MSG(rs.size() == 1 || rs.size() == ks.size(),
                 "--r must be one value or one per --k entry");
 
@@ -429,9 +413,10 @@ int RunBatch(GraphSource& source, const Flags& flags) {
     queries.push_back(query);
   }
 
+  const QueryOptions query_options = QueryOptionsFromFlags(flags);
   SearcherHolder holder = MakeSearcher(source, flags.GetString("method", "gct"));
   if (holder.active == nullptr) return Usage();
-  holder.active->set_query_options(QueryOptionsFromFlags(flags));
+  holder.active->set_query_options(query_options);
   std::cout << "method: " << holder.active->name() << " batch of "
             << queries.size() << " queries\n";
 
@@ -472,8 +457,7 @@ int RunBatch(GraphSource& source, const Flags& flags) {
 int RunScore(const Graph& g, const Flags& flags) {
   TSD_CHECK_MSG(flags.Has("v"), "score requires --v=<vertex>");
   const auto v = static_cast<VertexId>(flags.GetInt("v", 0));
-  std::uint32_t k = 0;
-  if (!ReadQueryParameter(flags, "k", 3, kMinK, &k)) return 2;
+  const std::uint32_t k = ReadQueryParameter(flags, "k", 3, kMinK);
   TSD_CHECK_MSG(v < g.num_vertices(), "vertex out of range");
   OnlineSearcher online(g);
   const ScoreResult result = online.ScoreVertex(v, k, /*want_contexts=*/true);
@@ -527,12 +511,8 @@ int RunQuery(const Flags& flags) {
   TSD_CHECK_MSG(flags.Has("index-file"), "query requires --index-file=<file>");
   const std::string path = flags.GetString("index-file", "");
   const std::string kind = flags.GetString("index", "gct");
-  std::uint32_t k = 0;
-  std::uint32_t r = 0;
-  if (!ReadQueryParameter(flags, "k", 3, kMinK, &k) ||
-      !ReadQueryParameter(flags, "r", 10, kMinR, &r)) {
-    return 2;
-  }
+  const std::uint32_t k = ReadQueryParameter(flags, "k", 3, kMinK);
+  const std::uint32_t r = ReadQueryParameter(flags, "r", 10, kMinR);
   if (kind == "tsd") {
     TsdIndex index = TsdIndex::Load(path);
     index.set_query_options(QueryOptionsFromFlags(flags));
@@ -599,13 +579,13 @@ int RunServe(GraphSource& source, const Flags& flags) {
                  "--listen=PORT (socket transport)\n";
     return Usage();
   }
+  ShardedServeOptions options;
+  options.num_shards = static_cast<std::uint32_t>(
+      flags.GetIntInRange("shards", 1, 1, kMaxThreadsFlag));
+  options.shard.query_options = QueryOptionsFromFlags(flags);
   SearcherHolder holder = MakeSearcher(source, flags.GetString("method", "gct"));
   if (holder.active == nullptr) return Usage();
 
-  ShardedServeOptions options;
-  options.num_shards = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, flags.GetInt("shards", 1)));
-  options.shard.query_options = QueryOptionsFromFlags(flags);
   options.shard.max_r = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, flags.GetInt("max-r", 1024)));
   options.shard.max_queue_depth = static_cast<std::uint32_t>(
@@ -762,6 +742,9 @@ int Run(int argc, char** argv) {
     if (command == "batch") return RunBatch(source, flags);
     if (command == "score") return RunScore(source.graph, flags);
     if (command == "serve") return RunServe(source, flags);
+  } catch (const FlagError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const CheckError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
